@@ -9,13 +9,18 @@ part of it that child spans cover.
 A span whose module, class or function no longer exists is simply not
 installed and reports ``calls = 0``, so the benchmark keeps running when
 a later change deletes a function the table names.
+
+The ``scion.echo_series`` span also records which path each call probes
+within which top-level call (a call made while no other span is open:
+one ``monitor.after_round``, one ``suite.measure_path``), the base of
+the repeated-probe ratio.
 """
 
 from __future__ import annotations
 
 import importlib
 import time
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 #: (span name, module, class, attribute): the layer boundaries timed.
 SPANS: Tuple[Tuple[str, str, str, str], ...] = (
@@ -69,10 +74,15 @@ def resolve(module: str, cls_name: str, attr: str) -> Optional[type]:
     return cls
 
 
+def path_key(path: object) -> str:
+    fingerprint = getattr(path, "fingerprint", None)
+    return fingerprint() if callable(fingerprint) else repr(path)
+
+
 class SpanStats:
     """Running totals of one span."""
 
-    __slots__ = ("calls", "total_s", "self_s", "samples")
+    __slots__ = ("calls", "total_s", "self_s", "samples", "starts")
 
     def __init__(self, keep_samples: bool) -> None:
         self.calls = 0
@@ -80,6 +90,8 @@ class SpanStats:
         self.self_s = 0.0
         #: Every call's duration, for spans that keep them.
         self.samples: Optional[List[float]] = [] if keep_samples else None
+        #: The clock reading at each kept call's start.
+        self.starts: List[float] = []
 
 
 class Tracer:
@@ -96,6 +108,12 @@ class Tracer:
         }
         self._stack: List[List[float]] = []
         self._patched: List[Tuple[type, str, object]] = []
+        #: Spans whose function exists and was wrapped.
+        self.installed: Set[str] = set()
+        #: Top-level calls entered so far.
+        self.top_calls = 0
+        #: Distinct (top-level call, path fingerprint) pairs echo series probed.
+        self.echo_pairs: Set[Tuple[int, str]] = set()
 
     def __enter__(self) -> "Tracer":
         for name in self.stats:
@@ -105,6 +123,7 @@ class Tracer:
             attr = _TARGETS[name][2]
             self._patched.append((cls, attr, cls.__dict__.get(attr)))
             setattr(cls, attr, self._span(name, getattr(cls, attr)))
+            self.installed.add(name)
         return self
 
     def __exit__(self, *exc: object) -> None:
@@ -119,8 +138,14 @@ class Tracer:
         stack = self._stack
         clock = time.perf_counter
         stats = self.stats[name]
+        echo = name == "scion.echo_series"
 
         def span(*args, **kwargs):
+            if not stack:
+                self.top_calls += 1
+            if echo:
+                path = args[1] if len(args) > 1 else kwargs.get("path")
+                self.echo_pairs.add((self.top_calls, path_key(path)))
             frame = [0.0]  # time covered by child spans
             stack.append(frame)
             start = clock()
@@ -136,6 +161,7 @@ class Tracer:
                 stats.self_s += elapsed - frame[0]
                 if stats.samples is not None:
                     stats.samples.append(elapsed)
+                    stats.starts.append(start)
 
         return span
 
@@ -144,3 +170,6 @@ class Tracer:
 
     def samples(self, name: str) -> List[float]:
         return list(self.stats[name].samples or ())
+
+    def starts(self, name: str) -> List[float]:
+        return list(self.stats[name].starts)

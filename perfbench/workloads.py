@@ -29,6 +29,7 @@ from repro.selection.request import Metric, UserRequest
 from repro.suite.cli import seed_servers
 from repro.suite.collect import PathsCollector
 from repro.suite.config import PATHS_COLLECTION, STATS_COLLECTION, SuiteConfig
+from repro.suite.faults import FaultPlan
 from repro.suite.runner import TestRunner
 from repro.upin.frontend import Frontend, IntentOutcome
 from repro.upin.tracer import TRACES_COLLECTION
@@ -36,6 +37,30 @@ from repro.upin.verifier import Verdict
 
 #: Paths per campaign iteration over the five study destinations.
 STUDY_PATHS = 80
+#: Campaign iterations per repetition: 80 x 30 = 2,400 path measurements.
+CAMPAIGN_ITERATIONS = 30
+#: Monitored flows and scripted rounds of the outage scenario.  Per-flow
+#: work dominates a round at this size, and a repetition is short enough
+#: that a run holds the ten repetitions its round-time tail needs.
+MONITOR_FLOWS = 500
+MONITOR_ROUNDS = 8
+#: Intents per repetition, and a campaign iteration after every REFRESH_EVERY.
+INTENTS = 2000
+REFRESH_EVERY = 200
+#: Campaign iterations that fill the DB before the first intent.
+WARMUP_ITERATIONS = 10
+
+
+@dataclass
+class Slice:
+    """A consecutive part of a repetition's measured phase."""
+
+    ops: int
+    wall_s: float
+    #: Wall time of each timed operation in the slice.
+    latencies_s: List[float]
+    #: Slices of one kind do the same work, so their speeds compare.
+    kind: int = 0
 
 
 @dataclass
@@ -45,11 +70,8 @@ class Rep:
     #: Set-up plus measured phase, the window the tracer covered.
     wall_s: float
     setup_s: float
-    #: Operations the throughput counts, and the wall time they took.
-    ops: int
-    ops_wall_s: float
-    #: Wall time of each timed operation.
-    latencies_s: List[float]
+    #: The measured phase, cut into slices of equal work.
+    slices: List[Slice]
     attempted: int
     failed: int
     #: sha256 of the stored collections: a deterministic output.
@@ -58,6 +80,20 @@ class Rep:
     problems: List[str]
     #: Ratio bases read from public attributes (None: attribute gone).
     counters: Dict[str, Optional[int]] = field(default_factory=dict)
+
+
+def cut(starts: List[float], latencies: List[float], size: int, end: float) -> List[Slice]:
+    """Slices of ``size`` consecutive operations.
+
+    ``starts`` holds each operation's start; a slice lasts until the
+    next slice starts (the last one until ``end``), so it includes the
+    work between operations, such as batch writes.
+    """
+    bounds = starts[::size] + [end]
+    return [
+        Slice(len(latencies[i:i + size]), b - a, latencies[i:i + size])
+        for i, a, b in zip(range(0, len(starts), size), bounds, bounds[1:])
+    ]
 
 
 def collections_digest(db, names: Sequence[str], extra: Any = None) -> str:
@@ -113,6 +149,8 @@ class Workload:
     timing_spans: Sequence[str] = ()
     #: The span whose call durations are the latency samples.
     sample_span: Optional[str] = None
+    #: The tail percentile reported, as a fraction.
+    tail_q = 0.99
 
     def tracer(self, traced: bool) -> Tracer:
         spans = (SPAN_NAMES if traced else ()) + tuple(self.timing_spans)
@@ -132,10 +170,15 @@ class Campaign(Workload):
     timing_spans = ("suite.measure_path",)
     sample_span = "suite.measure_path"
 
-    def __init__(self, seed: int, workdir: str, *, iterations: int = 30, faults=None) -> None:
+    def __init__(
+        self, seed: int, workdir: str, *, iterations: int = CAMPAIGN_ITERATIONS,
+        faults: Optional[FaultPlan] = None,
+    ) -> None:
         self.seed = seed
         self.workdir = workdir
         self.iterations = iterations
+        #: A plan of injected faults (the smoke run's): what it breaks is
+        #: counted as failed, not as a failed output check.
         self.faults = faults
         self.config = SuiteConfig(iterations=iterations, destination_ids=study_destination_ids())
 
@@ -157,21 +200,26 @@ class Campaign(Workload):
             paths = len(db[PATHS_COLLECTION])
             stats = db[STATS_COLLECTION].all_documents()
             attempted = paths * self.iterations
+            # Paths measured in error or whose stats batch was lost.
+            failed = attempted - report.stats_stored
             problems = stats_problems(stats)
             if paths != STUDY_PATHS:
                 problems.append(f"{paths} paths collected, expected {STUDY_PATHS}")
-            if report.measurement_errors:
-                problems.append(f"{report.measurement_errors} measurement errors")
-            if len(stats) != attempted:
-                problems.append(f"{len(stats)} stats documents, expected {attempted}")
+            if len(stats) != report.stats_stored:
+                problems.append(f"{len(stats)} stats documents, {report.stats_stored} reported stored")
+            if failed and self.faults is None:
+                problems.append(
+                    f"{report.measurement_errors} measurement errors, {report.stats_lost} stats lost"
+                )
             return Rep(
                 wall_s=end - start,
                 setup_s=measured - start,
-                ops=attempted,
-                ops_wall_s=end - measured,
-                latencies_s=tracer.samples("suite.measure_path"),
+                slices=cut(
+                    tracer.starts("suite.measure_path"), tracer.samples("suite.measure_path"),
+                    STUDY_PATHS, end,
+                ),
                 attempted=attempted,
-                failed=attempted - report.stats_stored,
+                failed=failed,
                 digest=collections_digest(db, [PATHS_COLLECTION, STATS_COLLECTION]),
                 problems=problems,
                 counters=public_counters(host, db),
@@ -188,17 +236,21 @@ class Monitor(Workload):
     name = "monitor"
     timing_spans = ("monitor.after_round", "phase.monitor_rounds")
     sample_span = "monitor.after_round"
+    #: A repetition has only 8 rounds, so the tail is p75 of the rounds
+    #: the timings come from: the scripted failover and revocation rounds.
+    #: Round ``i`` of every repetition is one kind of slice; the faster
+    #: half of each leaves ten rounds beyond p75 in a 9-rep run.
+    tail_q = 0.75
 
-    def __init__(self, seed: int, *, flows: int = 1000, rounds: int = 8) -> None:
+    def __init__(self, seed: int, *, flows: int = MONITOR_FLOWS) -> None:
         self.seed = seed
         self.flows = flows
-        self.rounds = rounds
 
     def run(self, tracer: Tracer) -> Rep:
         with tracer:
             start = time.perf_counter()
             scenario = run_outage_scenario(
-                seed=self.seed, rounds=self.rounds, extra_flows=self.flows - 1
+                seed=self.seed, rounds=MONITOR_ROUNDS, extra_flows=self.flows - 1
             )
             end = time.perf_counter()
         rounds_s = tracer.stats["phase.monitor_rounds"].total_s
@@ -213,28 +265,40 @@ class Monitor(Workload):
             problems.append("revocation failover missing or not immediate")
         if dead:
             problems.append(f"{dead} flows end DEAD")
-        if len(round_times) != self.rounds:
-            problems.append(f"{len(round_times)} monitor rounds, expected {self.rounds}")
-        checks = self.flows * self.rounds
+        if len(round_times) != MONITOR_ROUNDS:
+            problems.append(f"{len(round_times)} monitor rounds, expected {MONITOR_ROUNDS}")
+        checks = self.flows * MONITOR_ROUNDS
         db = scenario.world.db
         return Rep(
             wall_s=end - start,
             setup_s=end - start - rounds_s,
-            ops=checks,
-            ops_wall_s=sum(round_times),
-            latencies_s=round_times,
+            # Rounds differ by script: round i is slice kind i.
+            slices=[Slice(self.flows, t, [t], i) for i, t in enumerate(round_times)],
             attempted=checks,
-            failed=dead * self.rounds,
+            failed=dead * MONITOR_ROUNDS,
             digest=collections_digest(
                 db, [FLOW_EVENTS_COLLECTION, STATS_COLLECTION], scenario.path_history
             ),
             problems=problems,
-            counters=public_counters(scenario.world.host, db),
+            counters=dict(
+                public_counters(scenario.world.host, db),
+                journal_events=len(db[FLOW_EVENTS_COLLECTION]),
+            ),
         )
 
 
 # -- intents -------------------------------------------------------------------
 
+#: Distinct requests in the mix: more than the controller memo's 128
+#: entries, so the tail of the mix misses it while the head hits.
+DISTINCT_INTENTS = 400
+#: Zipf exponent of request popularity: the top 16 ranks carry about
+#: half of the traffic, so the hot head fits in the memo.
+ZIPF_S = 1.1
+#: Every REFUSE_EVERY-th rank is a request no stored path satisfies.
+REFUSE_EVERY = 8
+USERS = 64
+METRICS = tuple(Metric)
 #: Weighted blends for ``Metric.COMPOSITE`` intents.
 BLENDS = (
     {"latency": 0.6, "loss": 0.4},
@@ -258,17 +322,36 @@ def _mean(values) -> Optional[float]:
     return sum(values) / len(values) if values else None
 
 
-def intent_mix(rng: random.Random, topology, db, *, count: int, distinct: int, users: int) -> List[Intent]:
-    """``count`` intents drawn with Zipf weights from ``distinct`` requests.
+def zipf_counts(count: int, ranks: int) -> List[int]:
+    """``count`` split over ``ranks`` in Zipf proportions, largest remainder first."""
+    weights = [1.0 / (rank + 1) ** ZIPF_S for rank in range(ranks)]
+    total = sum(weights)
+    shares = [count * w / total for w in weights]
+    counts = [int(x) for x in shares]
+    by_remainder = sorted(range(ranks), key=lambda r: counts[r] - shares[r])
+    for rank in by_remainder[: count - sum(counts)]:
+        counts[rank] += 1
+    return counts
+
+
+def intent_mix(rng: random.Random, topology, db, count: int) -> List[Intent]:
+    """``count`` intents over ``DISTINCT_INTENTS`` requests, Zipf-popular.
+
+    What a request costs is fixed by its popularity rank, the same for
+    every seed: rank ``r`` asks for destination ``r % 5``, optimises
+    metric ``r // 5 % 6`` (any metric, once that one runs out of
+    distinct requests for the destination) and, when ``r % REFUSE_EVERY`` is the last
+    slot, excludes every stored path (NoPathError is its answer).  Each
+    rank is submitted its Zipf share of ``count`` times.  The seed draws
+    the exclusions, hard limits and blends, the users and the order.
 
     A request's answer is fixed when it is generated: NoPathError when
     its exclusions rule out every stored path, otherwise one of the
     paths left.  Requests whose answer would hinge on measurements
     (every path left is unmeasured) are not generated, and hard limits
-    sit far from the best remaining path's value, so the refresh
-    batches cannot move that path across them.  Ranks cycle through the
-    destinations so the hot head of the mix is the same shape for every
-    seed.
+    sit far from the best remaining path's value (twice its latency,
+    ten points above its loss, half its bandwidth), so the refresh
+    batches cannot move that path across them.
     """
     by_path: Dict[str, List[Dict[str, Any]]] = {}
     for doc in db[STATS_COLLECTION].all_documents():
@@ -287,47 +370,50 @@ def intent_mix(rng: random.Random, topology, db, *, count: int, distinct: int, u
     servers = sorted(by_server)
     pool: List[tuple] = []
     keys = set()
-    for _ in range(200 * distinct):
-        if len(pool) == distinct:
-            break
-        server = servers[len(pool) % len(servers)]
+    for rank in range(DISTINCT_INTENTS):
+        server = servers[rank % len(servers)]
+        refuse = rank % REFUSE_EVERY == REFUSE_EVERY - 1
         docs = by_server[server]
         ases = sorted({a for d in docs for a in d["ases"]})
-        kind = rng.choice(EXCLUSION_KINDS)
-        excl: Dict[str, List[Any]] = {}
-        if "country" in kind:
-            excl["exclude_countries"] = [rng.choice(sorted({topology.as_of(a).country.upper() for a in ases}))]
-        if kind == "operator":
-            excl["exclude_operators"] = [rng.choice(sorted({topology.as_of(a).operator for a in ases}))]
-        if kind in ("as", "country+as"):
-            excl["exclude_ases"] = [rng.choice(ases)]
-        if kind == "isd":
-            excl["exclude_isds"] = [rng.choice(sorted({i for d in docs for i in d["isds"]}))]
-        admissible = [d for d in docs if _avoids(topology, d, excl)]
-        measured = [summary[d["_id"]] for d in admissible if summary.get(d["_id"], {}).get("latency") is not None]
-        if admissible and not measured:
-            continue
-        limits: Dict[str, float] = {}
-        limit = rng.choice(LIMIT_KINDS) if measured else None
-        if limit == "latency":
-            limits["max_latency_ms"] = 2.0 * min(s["latency"] for s in measured)
-        elif limit == "loss":
-            limits["max_loss_pct"] = min(s["loss"] for s in measured) + 10.0
-        elif limit == "bandwidth" and max(s["bw_down"] or 0.0 for s in measured) > 0:
-            limits["min_bandwidth_down_mbps"] = 0.5 * max(s["bw_down"] or 0.0 for s in measured)
-        metric = rng.choice(list(Metric))
-        weights = rng.choice(BLENDS) if metric is Metric.COMPOSITE else None
-        key = json.dumps([server, metric.value, weights, excl, limits], sort_keys=True)
-        if key in keys:
-            continue
-        keys.add(key)
-        request = UserRequest.make(server, metric, weights=weights, **excl, **limits)
-        pool.append((request, frozenset(d["_id"] for d in admissible)))
-    if len(pool) < distinct:
-        raise RuntimeError(f"drew only {len(pool)} distinct intents of {distinct}")
-    weights = [1.0 / (rank + 1) ** 1.1 for rank in range(len(pool))]
-    picks = rng.choices(range(len(pool)), weights=weights, k=count)
-    return [Intent(f"user-{rng.randrange(users):02d}", *pool[i]) for i in picks]
+        for attempt in range(2000):
+            # A destination with few paths runs out of distinct requests
+            # for one metric; such a rank then takes any metric.
+            metric = METRICS[rank // len(servers) % len(METRICS)] if attempt < 500 else rng.choice(METRICS)
+            kind = rng.choice(EXCLUSION_KINDS)
+            excl: Dict[str, List[Any]] = {}
+            if "country" in kind:
+                excl["exclude_countries"] = [rng.choice(sorted({topology.as_of(a).country.upper() for a in ases}))]
+            if kind == "operator":
+                excl["exclude_operators"] = [rng.choice(sorted({topology.as_of(a).operator for a in ases}))]
+            if kind in ("as", "country+as"):
+                excl["exclude_ases"] = [rng.choice(ases)]
+            if kind == "isd":
+                excl["exclude_isds"] = [rng.choice(sorted({i for d in docs for i in d["isds"]}))]
+            admissible = [d for d in docs if _avoids(topology, d, excl)]
+            measured = [summary[d["_id"]] for d in admissible if summary.get(d["_id"], {}).get("latency") is not None]
+            if refuse == bool(admissible) or (admissible and not measured):
+                continue
+            limits: Dict[str, float] = {}
+            limit = rng.choice(LIMIT_KINDS) if measured else None
+            if limit == "latency":
+                limits["max_latency_ms"] = 2.0 * min(s["latency"] for s in measured)
+            elif limit == "loss":
+                limits["max_loss_pct"] = min(s["loss"] for s in measured) + 10.0
+            elif limit == "bandwidth" and max(s["bw_down"] or 0.0 for s in measured) > 0:
+                limits["min_bandwidth_down_mbps"] = 0.5 * max(s["bw_down"] or 0.0 for s in measured)
+            weights = rng.choice(BLENDS) if metric is Metric.COMPOSITE else None
+            key = json.dumps([server, metric.value, weights, excl, limits], sort_keys=True)
+            if key in keys:
+                continue
+            keys.add(key)
+            request = UserRequest.make(server, metric, weights=weights, **excl, **limits)
+            pool.append((request, frozenset(d["_id"] for d in admissible)))
+            break
+        else:
+            raise RuntimeError(f"no distinct request for rank {rank} (refused: {refuse})")
+    picks = [rank for rank, n in enumerate(zipf_counts(count, len(pool))) for _ in range(n)]
+    rng.shuffle(picks)
+    return [Intent(f"user-{rng.randrange(USERS):02d}", *pool[i]) for i in picks]
 
 
 def _avoids(topology, doc: Dict[str, Any], excl: Dict[str, List[Any]]) -> bool:
@@ -359,22 +445,9 @@ class Intents(Workload):
 
     name = "intents"
 
-    def __init__(
-        self,
-        seed: int,
-        *,
-        intents: int = 2000,
-        refresh_every: int = 200,
-        warmup_iterations: int = 10,
-        distinct: int = 400,
-        users: int = 64,
-    ) -> None:
+    def __init__(self, seed: int, *, count: int = INTENTS) -> None:
         self.seed = seed
-        self.intents = intents
-        self.refresh_every = refresh_every
-        self.warmup_iterations = warmup_iterations
-        self.distinct = distinct
-        self.users = users
+        self.count = count
 
     def run(self, tracer: Tracer) -> Rep:
         config = SuiteConfig(destination_ids=study_destination_ids())
@@ -384,17 +457,16 @@ class Intents(Workload):
             host, db = world.host, world.db
             PathsCollector(host, db, config).collect()
             runner = TestRunner(host, db, config)
-            runner.run(iterations=self.warmup_iterations)
+            runner.run(iterations=WARMUP_ITERATIONS)
             frontend = Frontend(host, db)
-            mix = intent_mix(
-                random.Random(self.seed), host.topology, db,
-                count=self.intents, distinct=self.distinct, users=self.users,
-            )
+            mix = intent_mix(random.Random(self.seed), host.topology, db, self.count)
             measured = time.perf_counter()
             outcomes: List[Any] = []
             latencies: List[float] = []
+            starts: List[float] = []
             for i, intent in enumerate(mix):
-                if i and i % self.refresh_every == 0:
+                starts.append(time.perf_counter())
+                if i and i % REFRESH_EVERY == 0:
                     runner.run(iterations=1)  # new batches land beside the reads
                 began = time.perf_counter()
                 try:
@@ -410,9 +482,7 @@ class Intents(Workload):
         return Rep(
             wall_s=end - start,
             setup_s=measured - start,
-            ops=len(mix),
-            ops_wall_s=end - measured,
-            latencies_s=latencies,
+            slices=cut(starts, latencies, REFRESH_EVERY, end),
             attempted=len(mix),
             failed=len(wrong),
             digest=collections_digest(db, [TRACES_COLLECTION, STATS_COLLECTION], answers),

@@ -37,10 +37,11 @@ def test_bench_ping_probe(benchmark, scionlab_host):
     traversals = path.traversals(scionlab_host.topology)
     packet = PacketSpec(payload_bytes=16, n_hops=path.hop_count)
 
-    result = benchmark(
-        lambda: scionlab_host.network.probe_roundtrip(traversals, packet, 1.0)
+    series = benchmark(
+        lambda: scionlab_host.network.probe_batch(traversals, packet, 1, 0.1, 1.0)
     )
-    assert result.rtt_ms is None or result.rtt_ms > 0
+    assert series.count == 1
+    assert series.received == 0 or series.received_rtts()[0] > 0
 
 
 def test_bench_fluid_transfer(benchmark, scionlab_host):

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.netsim.network import ServerHealth
+from repro.netsim.batch import SHOWPATHS
 from repro.netsim.packet import SCMP_HEADER_BYTES, PacketSpec
 from repro.scion.path import Path
 from repro.scion.snet import ScionHost
@@ -138,5 +138,7 @@ class ShowpathsApp:
             underlay_mtu=self.host.network.config.underlay_mtu,
         )
         traversals = path.traversals(self.host.topology)
-        result = self.host.network.probe_roundtrip(traversals, packet)
-        return "timeout" if result.lost else "alive"
+        series = self.host.network.probe_depths(
+            traversals, packet, [len(traversals)], purpose=SHOWPATHS
+        )
+        return "timeout" if series.received == 0 else "alive"

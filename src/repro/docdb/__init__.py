@@ -32,7 +32,7 @@ from repro.docdb.planner import QueryPlanner, format_plan
 from repro.docdb.cache import QueryCache, freeze
 from repro.docdb.database import Database
 from repro.docdb.client import DocDBClient
-from repro.docdb.storage import JsonlStore, OperationJournal
+from repro.docdb.storage import JsonlStore
 from repro.docdb.wal import WAL_OPS, WalRecord, WalWriter
 from repro.docdb.recovery import (
     Checkpoint,
@@ -62,7 +62,6 @@ __all__ = [
     "Database",
     "DocDBClient",
     "JsonlStore",
-    "OperationJournal",
     "WalWriter",
     "WalRecord",
     "WAL_OPS",

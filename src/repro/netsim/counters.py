@@ -24,24 +24,17 @@ class NetCounters:
     __slots__ = (
         "batch_series",
         "batch_packets",
-        "scalar_fallback_series",
-        "scalar_probes",
         "sampler_hits",
         "sampler_misses",
         "ledger_pruned_flows",
     )
 
     def __init__(self) -> None:
-        #: Echo series answered by the vectorized batch engine.
+        #: Round-trip batches computed by the data-plane engine (echo
+        #: series, traceroutes, showpaths status probes).
         self.batch_series = 0
-        #: Echo packets computed inside those batch series.
+        #: Probe packets computed inside those batches.
         self.batch_packets = 0
-        #: Echo series that took the scalar per-packet fallback
-        #: (``NetworkConfig.scalar_fallback=True``).
-        self.scalar_fallback_series = 0
-        #: Individual scalar round-trip probes (fallback series packets,
-        #: traceroute partial probes, direct ``probe_roundtrip`` calls).
-        self.scalar_probes = 0
         #: Per-link sampling-cache hits ((direction, window) integrals).
         self.sampler_hits = 0
         #: Per-link sampling-cache misses (integral computed fresh).

@@ -18,7 +18,7 @@ from repro.netsim.clock import SimClock
 from repro.netsim.config import NetworkConfig
 from repro.netsim.congestion import CongestionEpisode, EpisodeSchedule
 from repro.netsim.counters import NetCounters
-from repro.netsim.link import LinkState, TransitSample
+from repro.netsim.link import LinkState
 from repro.netsim.packet import PacketSpec
 from repro.topology.entities import LinkSpec
 from repro.topology.graph import Topology
@@ -37,17 +37,6 @@ class LinkTraversal:
 
     def reversed(self) -> "LinkTraversal":
         return LinkTraversal(link=self.link, sender=self.link.other(self.sender))
-
-
-@dataclass(frozen=True)
-class ProbeResult:
-    """Outcome of one SCMP-style round-trip probe."""
-
-    rtt_ms: Optional[float]  # None when the probe was lost
-
-    @property
-    def lost(self) -> bool:
-        return self.rtt_ms is None
 
 
 @dataclass(frozen=True)
@@ -219,85 +208,7 @@ class NetworkSim:
             raise TopologyError(f"link not part of this network: {spec}")
         return state
 
-    # -- per-packet transit -----------------------------------------------------
-
-    def oneway_transit(
-        self,
-        traversals: Sequence[LinkTraversal],
-        packet: PacketSpec,
-        t_s: Optional[float] = None,
-    ) -> TransitSample:
-        """Push one packet along ``traversals``; aggregate delay and drop."""
-        if not traversals:
-            raise ValidationError("empty path")
-        t = self.clock.now_s if t_s is None else t_s
-        total_ms = 0.0
-        for step in traversals:
-            state = self.link_state(step.link)
-            direction = state.direction_from(step.sender)
-            sample = state.transit_packet(
-                direction, packet.total_wire_bytes, packet.fragments, t + total_ms / 1e3
-            )
-            total_ms += sample.delay_ms
-            if sample.dropped:
-                return TransitSample(delay_ms=total_ms, dropped=True)
-        return TransitSample(delay_ms=total_ms, dropped=False)
-
-    def probe_roundtrip(
-        self,
-        traversals: Sequence[LinkTraversal],
-        packet: PacketSpec,
-        t_s: Optional[float] = None,
-    ) -> ProbeResult:
-        """SCMP-style echo: forward transit, then the reverse path back.
-
-        A probe slower than ``config.probe_timeout_s`` counts as lost,
-        like the real ``scion ping``'s deadline.
-        """
-        t = self.clock.now_s if t_s is None else t_s
-        self.counters.scalar_probes += 1
-        fwd = self.oneway_transit(traversals, packet, t)
-        if fwd.dropped:
-            return ProbeResult(rtt_ms=None)
-        back_path = [step.reversed() for step in reversed(traversals)]
-        back = self.oneway_transit(back_path, packet, t + fwd.delay_ms / 1e3)
-        if back.dropped:
-            return ProbeResult(rtt_ms=None)
-        rtt = fwd.delay_ms + back.delay_ms
-        if rtt > self.config.probe_timeout_s * 1e3:
-            return ProbeResult(rtt_ms=None)
-        return ProbeResult(rtt_ms=rtt)
-
-    def probe_partial(
-        self,
-        traversals: Sequence[LinkTraversal],
-        upto: int,
-        packet: PacketSpec,
-        t_s: Optional[float] = None,
-    ) -> ProbeResult:
-        """Round-trip to the router after the first ``upto`` traversals
-        (the primitive behind ``scion traceroute``).
-
-        **Stream semantics (intentional, pinned by a seeded golden
-        test):** the partial probe reuses :meth:`probe_roundtrip` on the
-        truncated traversal list, so every ``upto`` value draws jitter
-        and drop decisions from the *same sequential per-link streams*
-        the full-path probes use.  Consecutive partial probes at
-        different depths therefore consume each shared link's stream in
-        interleaved order — probe(upto=2) advances link 1's stream past
-        what probe(upto=1) saw.  That interleaving is part of the
-        deterministic contract (``tests/test_netsim_fastpath.py``
-        pins a seeded traceroute byte-for-byte) and is why traceroute
-        stays on the scalar walker: routing partial probes through the
-        batch engine would re-chunk those shared streams and silently
-        change every ``upto`` series.  Batch-mode traceroute needs its
-        own stream keying first.
-        """
-        if not (1 <= upto <= len(traversals)):
-            raise ValidationError(f"upto out of range: {upto}")
-        return self.probe_roundtrip(traversals[:upto], packet, t_s)
-
-    # -- batched probing (the measurement fast path) ----------------------------
+    # -- round-trip probes (the data-plane engine, see :mod:`.batch`) ---------------
 
     def probe_batch(
         self,
@@ -307,19 +218,40 @@ class NetworkSim:
         interval_s: float,
         t0_s: Optional[float] = None,
     ) -> "batch.BatchEchoSeries":
-        """Whole echo series in O(links) numpy ops (see :mod:`.batch`).
+        """Whole echo series in O(links) numpy ops.
 
         Packet *i* of ``count`` departs at ``t0_s + i * interval_s``
         (``t0_s`` defaults to the simulation clock); per-link jitter and
         drop decisions are drawn as one vector per link/direction from
-        the same named RNG streams the scalar walker uses.  Same seed ⇒
-        byte-identical series; batch-vs-scalar agreement is statistical,
-        not sample-for-sample (see the module docstring's determinism
-        contract).  Does **not** advance the clock — callers advance it
-        by ``count * interval_s``, like the scalar echo loop.
+        the links' echo streams.  Same seed ⇒ byte-identical series.
+        Does **not** advance the clock — callers advance it by
+        ``count * interval_s``.
         """
         t0 = self.clock.now_s if t0_s is None else t0_s
         return batch.probe_batch(self, traversals, packet, count, interval_s, t0)
+
+    def probe_depths(
+        self,
+        traversals: Sequence[LinkTraversal],
+        packet: PacketSpec,
+        depths: Sequence[int],
+        *,
+        purpose: str,
+        interval_s: float = 0.0,
+        t0_s: Optional[float] = None,
+    ) -> "batch.BatchEchoSeries":
+        """Round trips to the routers ``depths`` links down the path.
+
+        Lane *j* probes the router after ``depths[j]`` traversals and
+        departs at ``t0_s + j * interval_s`` (``t0_s`` defaults to the
+        simulation clock); ``depths`` is sorted ascending.  Jitter and
+        drops come from the links' ``purpose`` streams, never from the
+        echo streams.  Does **not** advance the clock.
+        """
+        t0 = self.clock.now_s if t0_s is None else t0_s
+        return batch.probe_depths(
+            self, traversals, packet, depths, interval_s, t0, purpose=purpose
+        )
 
     # -- fluid transfers -------------------------------------------------------------
 

@@ -10,11 +10,13 @@ seconds — which is what lets time-windowed congestion episodes knock out
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
+
+import numpy as np
 
 from repro.errors import ValidationError
-from repro.netsim.clock import SimClock
+from repro.netsim.batch import TRACEROUTE
 from repro.netsim.network import NetworkSim, ServerHealth
 from repro.netsim.packet import SCMP_HEADER_BYTES, PacketSpec
 from repro.scion.path import Path
@@ -90,55 +92,38 @@ class ScmpService:
         """Send ``count`` SCMP echoes along ``path``; advances the clock.
 
         Matches the paper's measurement command: 30 probes at 0.1 s
-        intervals (§5.3).
-
-        The series is computed by the vectorized batch engine
-        (:meth:`~repro.netsim.network.NetworkSim.probe_batch`) by
-        default; ``NetworkConfig.scalar_fallback=True`` restores the
-        packet-at-a-time walker with its pre-batch RNG draw order.
-        Either way the clock advances by ``count * interval_s`` and
-        probe *i* departs at ``t0 + i * interval_s``.
+        intervals (§5.3).  The series is one batch of the data-plane
+        engine (:meth:`~repro.netsim.network.NetworkSim.probe_batch`):
+        probe *i* departs at ``t0 + i * interval_s`` and the clock
+        advances by ``count * interval_s``.
         """
         if count < 1:
             raise ValidationError(f"echo count must be >= 1: {count}")
         if interval_s <= 0:
             raise ValidationError("echo interval must be positive")
-        traversals = path.traversals(self.network.topology)
-        packet = PacketSpec(
-            payload_bytes=payload_bytes + SCMP_HEADER_BYTES,
-            n_hops=path.hop_count,
-            n_segments=path.n_segments,
-            underlay_mtu=self.network.config.underlay_mtu,
-        )
-        server_up = (
-            self.network.servers.health(path.dst, dst_ip) is not ServerHealth.DOWN
-        )
+        destination = path.dst.address(dst_ip)
         clock = self.network.clock
-        if server_up and not self.network.config.scalar_fallback:
-            series = self.network.probe_batch(
-                traversals, packet, count, interval_s, clock.now_s
-            )
-            clock.advance(count * interval_s)
-            return EchoStats(
-                destination=path.dst.address(dst_ip),
-                sent=count,
-                received=series.received,
-                rtts_ms=series.received_rtts(),
-            )
-        if server_up:
-            self.network.counters.scalar_fallback_series += 1
-        rtts: List[float] = []
-        for _ in range(count):
-            if server_up:
-                result = self.network.probe_roundtrip(traversals, packet)
-                if not result.lost:
-                    rtts.append(result.rtt_ms)
-            clock.advance(interval_s)
+        if self.network.servers.health(path.dst, dst_ip) is ServerHealth.DOWN:
+            # A dead server answers nothing.  The clock steps one interval
+            # per probe, not once by count * interval_s: the repeated
+            # float additions keep simulated time bit-identical to earlier
+            # releases, which campaign and monitor outputs depend on.
+            for _ in range(count):
+                clock.advance(interval_s)
+            return EchoStats(destination=destination, sent=count, received=0, rtts_ms=())
+        series = self.network.probe_batch(
+            path.traversals(self.network.topology),
+            self._packet(path, payload_bytes + SCMP_HEADER_BYTES),
+            count,
+            interval_s,
+            clock.now_s,
+        )
+        clock.advance(count * interval_s)
         return EchoStats(
-            destination=path.dst.address(dst_ip),
+            destination=destination,
             sent=count,
-            received=len(rtts),
-            rtts_ms=tuple(rtts),
+            received=series.received,
+            rtts_ms=series.received_rtts(),
         )
 
     # -- traceroute ------------------------------------------------------------------
@@ -150,29 +135,44 @@ class ScmpService:
         probes_per_hop: int = 3,
         interval_s: float = 0.05,
     ) -> List[TracerouteHop]:
-        """Probe every router interface along ``path`` in order."""
+        """Probe every router interface along ``path`` in order.
+
+        All ``probes_per_hop × hops`` probes are one depth-laned batch
+        (:meth:`~repro.netsim.network.NetworkSim.probe_depths`) drawing
+        from the links' traceroute streams: probe *i* departs at
+        ``t0 + i * interval_s``, hop by hop, and the clock advances by
+        the whole run's send time.
+        """
         traversals = path.traversals(self.network.topology)
-        packet = PacketSpec(
-            payload_bytes=SCMP_HEADER_BYTES,
-            n_hops=path.hop_count,
-            n_segments=path.n_segments,
-            underlay_mtu=self.network.config.underlay_mtu,
+        n_links = len(traversals)
+        clock = self.network.clock
+        series = self.network.probe_depths(
+            traversals,
+            self._packet(path, SCMP_HEADER_BYTES),
+            np.repeat(np.arange(1, n_links + 1), probes_per_hop),
+            purpose=TRACEROUTE,
+            interval_s=interval_s,
+            t0_s=clock.now_s,
         )
+        clock.advance(n_links * probes_per_hop * interval_s)
+        rtts = [None if r != r else r for r in series.rtt_ms.tolist()]  # NaN: lost
         hops: List[TracerouteHop] = []
-        for idx in range(1, len(traversals) + 1):
-            rtts: List[Optional[float]] = []
-            for _ in range(probes_per_hop):
-                result = self.network.probe_partial(traversals, idx, packet)
-                rtts.append(result.rtt_ms)
-                self.network.clock.advance(interval_s)
-            step = traversals[idx - 1]
+        for idx, step in enumerate(traversals, start=1):
             arrived = step.link.other(step.sender)
             hops.append(
                 TracerouteHop(
                     index=idx,
                     isd_as=arrived,
                     interface=step.link.interface_of(arrived),
-                    rtts_ms=tuple(rtts),
+                    rtts_ms=tuple(rtts[(idx - 1) * probes_per_hop : idx * probes_per_hop]),
                 )
             )
         return hops
+
+    def _packet(self, path: Path, payload_bytes: int) -> PacketSpec:
+        return PacketSpec(
+            payload_bytes=payload_bytes,
+            n_hops=path.hop_count,
+            n_segments=path.n_segments,
+            underlay_mtu=self.network.config.underlay_mtu,
+        )

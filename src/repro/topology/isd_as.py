@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import total_ordering
+from functools import lru_cache, total_ordering
 
 from repro.errors import ParseError
 
@@ -40,14 +40,15 @@ class ISDAS:
 
     @classmethod
     def parse(cls, text: "str | ISDAS") -> "ISDAS":
-        """Parse ``"19-ffaa:0:1303"`` into an :class:`ISDAS`."""
+        """Parse ``"19-ffaa:0:1303"`` into an :class:`ISDAS`.
+
+        Parses of the same text return the same (immutable) instance
+        from a bounded memo; text that fails to parse raises every time
+        and is never memoized.
+        """
         if isinstance(text, ISDAS):
             return text
-        m = _ISD_AS_RE.match(str(text).strip())
-        if not m:
-            raise ParseError(f"not an ISD-AS identifier: {text!r}")
-        isd_str, as_str = m.groups()
-        return cls(isd=int(isd_str), asn=cls._parse_asn(as_str))
+        return _parse_text(str(text))
 
     @staticmethod
     def _parse_asn(as_str: str) -> int:
@@ -109,6 +110,23 @@ class ISDAS:
 
     def __repr__(self) -> str:
         return f"ISDAS({str(self)!r})"
+
+
+@lru_cache(maxsize=4096)
+def _parse_text(text: str) -> ISDAS:
+    """The memoized string parser behind :meth:`ISDAS.parse`.
+
+    Lookups such as ``Topology.as_of`` re-parse the same few dozen
+    identifiers on every selection, verification and collection; the
+    bound keeps adversarial input from growing the memo without limit.
+    ``lru_cache`` does not cache a call that raised, so invalid text
+    always raises :class:`ParseError`.
+    """
+    m = _ISD_AS_RE.match(text.strip())
+    if not m:
+        raise ParseError(f"not an ISD-AS identifier: {text!r}")
+    isd_str, as_str = m.groups()
+    return ISDAS(isd=int(isd_str), asn=ISDAS._parse_asn(as_str))
 
 
 def isd_as(text: "str | ISDAS") -> ISDAS:

@@ -1,4 +1,4 @@
-"""Tests for persistence (snapshots + journal) and access control."""
+"""Tests for persistence (snapshots) and access control."""
 
 import os
 
@@ -14,7 +14,7 @@ from repro.docdb.auth import (
     sign_document,
 )
 from repro.docdb.client import DocDBClient
-from repro.docdb.storage import JsonlStore, OperationJournal
+from repro.docdb.storage import JsonlStore
 from repro.errors import AuthError, StorageError
 
 
@@ -80,49 +80,6 @@ class TestJsonlStore:
         # A reload must not resurrect the dropped collection.
         restored = DocDBClient.load_from(str(tmp_path))
         assert restored["db"].list_collection_names() == ["keep"]
-
-
-class TestOperationJournal:
-    def test_append_and_replay(self, tmp_path):
-        path = str(tmp_path / "ops.jsonl")
-        with OperationJournal(path) as journal:
-            journal.append("insert", "upin", "c", {"document": {"_id": 1, "v": 1}})
-            journal.append(
-                "insert_many", "upin", "c",
-                {"documents": [{"_id": 2}, {"_id": 3}]},
-            )
-            journal.append(
-                "update", "upin", "c",
-                {"filter": {"_id": 1}, "update": {"$set": {"v": 2}}},
-            )
-            journal.append("delete", "upin", "c", {"filter": {"_id": 3}})
-            journal.flush()
-
-        client = DocDBClient()
-        replayed = OperationJournal.replay(path, client)
-        assert replayed == 4
-        coll = client["upin"]["c"]
-        assert coll.find_one({"_id": 1})["v"] == 2
-        assert coll.find_one({"_id": 2}) is not None
-        assert coll.find_one({"_id": 3}) is None
-
-    def test_torn_tail_ignored(self, tmp_path):
-        path = str(tmp_path / "ops.jsonl")
-        with OperationJournal(path) as journal:
-            journal.append("insert", "d", "c", {"document": {"_id": 1}})
-            journal.flush()
-        with open(path, "a") as fh:
-            fh.write('{"op": "insert", "db": "d", "co')  # crash mid-write
-        client = DocDBClient()
-        assert OperationJournal.replay(path, client) == 1
-
-    def test_unknown_op_rejected(self, tmp_path):
-        with OperationJournal(str(tmp_path / "ops.jsonl")) as journal:
-            with pytest.raises(StorageError):
-                journal.append("drop_everything", "d", "c", {})
-
-    def test_replay_missing_file_is_empty(self, tmp_path):
-        assert OperationJournal.replay(str(tmp_path / "nope.jsonl"), DocDBClient()) == 0
 
 
 @pytest.fixture(scope="module")

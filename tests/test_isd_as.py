@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ParseError
-from repro.topology.isd_as import ISDAS, isd_as
+from repro.topology.isd_as import ISDAS, _parse_text, isd_as
 
 
 class TestParsing:
@@ -41,6 +41,31 @@ class TestParsing:
 
     def test_helper_function(self):
         assert isd_as("16-ffaa:0:1002") == ISDAS.parse("16-ffaa:0:1002")
+
+
+class TestParseMemo:
+    def test_equal_to_a_fresh_instance(self):
+        parsed = ISDAS.parse("19-ffaa:0:1303")
+        assert parsed == ISDAS(isd=19, asn=0xFFAA00001303)
+        assert hash(parsed) == hash(ISDAS(isd=19, asn=0xFFAA00001303))
+
+    def test_same_text_reuses_the_instance(self):
+        first = ISDAS.parse("17-ffaa:0:1107")
+        assert ISDAS.parse("17-ffaa:0:1107") is first
+        # Distinct spellings of the same identifier still compare equal.
+        assert ISDAS.parse(" 17-FFAA:0:1107 ") == first
+
+    def test_failed_parse_raises_every_time_and_is_not_memoized(self):
+        _parse_text.cache_clear()
+        for _ in range(3):
+            with pytest.raises(ParseError):
+                ISDAS.parse("16-not:an:as")
+        info = _parse_text.cache_info()
+        assert info.currsize == 0
+        assert info.hits == 0
+
+    def test_memo_is_bounded(self):
+        assert _parse_text.cache_info().maxsize is not None
 
 
 class TestAddresses:

@@ -1,16 +1,19 @@
-"""The vectorized measurement fast path and its determinism contract.
+"""The data-plane engine and its determinism contract.
 
-Covers the batch engine end to end:
+Covers the batch engine end to end, checked against physics rather
+than against a second engine:
 
 * seeded determinism of :func:`repro.netsim.batch.probe_batch` (same
-  seed ⇒ byte-identical rtt vectors, property-tested over seeds),
-* batch/scalar statistical agreement on mean RTT and loss fraction at
-  count ≥ 1000,
-* monitor-revocation blackholes drop 100 % of batch probes too,
-* ``scalar_fallback=True`` reproduces the pre-batch campaign
-  byte-for-byte (pinned sha256 golden),
-* a seeded traceroute golden pinning ``probe_partial``'s interleaved
-  stream semantics,
+  seed ⇒ byte-identical rtt vectors, property-tested over seeds) and of
+  traceroute across hosts,
+* the analytic floor (every per-hop RTT ≥ the round-trip propagation +
+  serialization up to that hop) and loss ≈ 1 − Π survivals at ≥ 1k
+  probes,
+* monitor-revocation blackholes drop 100 % of batch probes, and a
+  blackholed link *k* loses exactly the traceroute hops ≥ *k*,
+* stream isolation: an echo series is byte-identical whether or not a
+  traceroute or showpaths probe crossed the same links before it,
+* seeded goldens for the study campaign and for one traceroute,
 * the flow ledger staying bounded under ``register_flow=True``,
 * the sciond sequence index (no recombination on repeated lookups),
 * the link sampling cache (hits + epoch invalidation),
@@ -25,10 +28,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps.showpaths import ShowpathsApp
 from repro.docdb.client import DocDBClient
 from repro.errors import ValidationError
 from repro.monitor.revocation import Revocation, RevocationStore
-from repro.netsim.batch import probe_batch, roundtrip_steps
+from repro.netsim.batch import ECHO, probe_batch, roundtrip_steps
 from repro.netsim.config import NetworkConfig
 from repro.netsim.congestion import CongestionEpisode
 from repro.netsim.link import LinkDirection
@@ -54,21 +58,22 @@ FAST_SETTINGS = settings(max_examples=10, deadline=None)
 SLOW_SETTINGS = settings(max_examples=5, deadline=None)
 
 #: sha256 over the sorted stats documents of the seeded study campaign
-#: (seed 20231112, 1 iteration, 5 destinations, 80 docs), captured on
-#: the packet-at-a-time data plane *before* the batch engine landed.
-PRE_BATCH_CAMPAIGN_SHA256 = (
-    "0c83761f92109849855e8015ebde47c1e52ab0b25c30fc017ff058af5bdf62e3"
+#: (seed 20231112, 1 iteration, 5 destinations, 80 docs).  Echo series
+#: and fluid transfers own their RNG streams, so this must not move when
+#: traceroute or showpaths probing changes.
+BATCH_CAMPAIGN_SHA256 = (
+    "5235d7d75502654dea24e1dd827bfafc8c206df5b5e610ff682b042c914e2100"
 )
 
 #: Seeded traceroute golden (ScionHost.scionlab(seed=7), best path to
-#: 16-ffaa:0:1002), captured before this PR.  Pins ``probe_partial``'s
-#: interleaved per-link stream consumption — see its docstring.
+#: 16-ffaa:0:1002): one depth-laned batch on the links' traceroute
+#: streams.
 TRACEROUTE_GOLDEN = [
-    (1, "17-ffaa:0:1107", 3, [9.358807, 9.499288, 9.779065]),
-    (2, "17-ffaa:0:1102", 2, [10.614123, 10.734314, 10.328839]),
-    (3, "19-ffaa:0:1301", 4, [19.73079, 20.690527, 19.938622]),
-    (4, "16-ffaa:0:1001", 7, [24.763844, 25.496291, 25.290918]),
-    (5, "16-ffaa:0:1002", 1, [40.266703, 42.175547, 41.283817]),
+    (1, "17-ffaa:0:1107", 3, [9.866316, 9.551542, 9.261363]),
+    (2, "17-ffaa:0:1102", 2, [11.264166, 10.169694, 10.442758]),
+    (3, "19-ffaa:0:1301", 4, [19.709634, 19.892783, 19.462696]),
+    (4, "16-ffaa:0:1001", 7, [24.656647, 25.327079, 24.425262]),
+    (5, "16-ffaa:0:1002", 1, [42.390767, 41.698408, 42.239667]),
 ]
 
 
@@ -193,50 +198,68 @@ class TestSeededDeterminism:
         assert len(steps_a) == 4
 
 
-class TestBatchScalarAgreement:
+def _roundtrip_floor_ms(net, steps, packet):
+    """Σ propagation + serialization over the steps, out and back."""
+    floor = 0.0
+    for step in steps:
+        state = net.link_state(step.link)
+        floor += 2 * state.propagation_ms
+        for mbps in (step.link.capacity_ab_mbps, step.link.capacity_ba_mbps):
+            floor += packet.total_wire_bytes * 8.0 / (mbps * 1e6) * 1e3
+    return floor
+
+
+class TestAnalyticAgreement:
+    def test_per_hop_rtt_exceeds_propagation_and_serialization(self):
+        """Every lane's RTT ≥ Σ(propagation + serialization) over the
+        links up to its hop, out and back: queueing and |jitter| only
+        ever add delay."""
+        net = _fresh_net(7)
+        steps = _path_user_to_leaf(net.topology)
+        packet = _packet()
+        per_hop = 200
+        depths = np.repeat(np.arange(1, len(steps) + 1), per_hop)
+        series = net.probe_depths(steps, packet, depths, purpose="test", t0_s=0.0)
+        for depth in range(1, len(steps) + 1):
+            rtts = series.rtt_ms[(depth - 1) * per_hop : depth * per_hop]
+            rtts = rtts[~np.isnan(rtts)]
+            assert rtts.size > 0.9 * per_hop
+            floor = _roundtrip_floor_ms(net, steps[:depth], packet)
+            assert float(rtts.min()) >= floor
+
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
     @SLOW_SETTINGS
     def test_mean_rtt_and_loss_agree_at_1k(self, seed):
-        """Batch and scalar series agree statistically at count ≥ 1000.
+        """Loss ≈ 1 − Π per-step survivals and the mean RTT sits above
+        the static floor, on a lossy path at 4000 probes.
 
-        The modes consume the per-link streams in different chunk
-        shapes, so the comparison is distributional, not sample-wise:
-        matched mean RTT (within 2 % or 0.5 ms) and loss fraction
-        (within 2 points) over 1000 probes.
+        Each of the 2L steps keeps a one-fragment packet with
+        probability (1 − base loss)(1 − episode loss); the tolerance is
+        five binomial standard deviations.
         """
-        count = 1000
+        count = 4000
+        net = _fresh_net(seed, default_base_loss=0.03)
+        steps = _path_user_to_leaf(net.topology)
         packet = _packet()
-
-        def series_stats(scalar):
-            net = _fresh_net(seed, scalar_fallback=scalar)
-            steps = _path_user_to_leaf(net.topology)
-            if scalar:
-                rtts = []
-                lost = 0
-                for i in range(count):
-                    result = net.probe_roundtrip(steps, packet, t_s=i * 0.1)
-                    if result.lost:
-                        lost += 1
-                    else:
-                        rtts.append(result.rtt_ms)
-                return float(np.mean(rtts)), lost / count
-            series = net.probe_batch(steps, packet, count, 0.1, 0.0)
-            return (
-                float(np.mean(series.received_rtts())),
-                1.0 - series.received / count,
-            )
-
-        scalar_mean, scalar_loss = series_stats(True)
-        batch_mean, batch_loss = series_stats(False)
-        assert batch_mean == pytest.approx(
-            scalar_mean, rel=0.02, abs=0.5
-        ), "mean RTT diverged between batch and scalar modes"
-        assert abs(batch_loss - scalar_loss) < 0.02
+        assert packet.fragments == 1
+        net.add_episode(
+            CongestionEpisode.on_links([steps[1].link], 0.0, 1e6, loss=0.2)
+        )
+        survive = 1.0
+        for step in roundtrip_steps(steps):
+            episode = 0.2 if step.link is steps[1].link else 0.0
+            survive *= (1.0 - 0.03 - step.link.base_loss) * (1.0 - episode)
+        series = net.probe_batch(steps, packet, count, 0.1, 0.0)
+        loss = 1.0 - series.received / count
+        sigma = float(np.sqrt(survive * (1.0 - survive) / count))
+        assert abs(loss - (1.0 - survive)) < 5 * sigma
+        mean = float(np.mean(series.received_rtts()))
+        assert mean > _roundtrip_floor_ms(net, steps, packet)
 
 
 class TestRevocationBlackhole:
     def test_blackholed_link_drops_everything_in_batch_mode(self):
-        """A monitor revocation must kill batch probes like scalar ones."""
+        """A monitor revocation must kill every probe crossing the link."""
         net = _fresh_net(7)
         steps = _path_user_to_leaf(net.topology)
         link = steps[2].link  # core1a <-> core2, on the path
@@ -272,16 +295,16 @@ class TestRevocationBlackhole:
         assert outside_received > 0.9 * int(np.count_nonzero(~inside))
 
 
-# -- pre-batch byte-compatibility goldens -------------------------------------
+# -- goldens, determinism and stream isolation -----------------------------------
 
 
-def _campaign_digest(*, scalar_fallback):
+def _campaign_digest():
     client = DocDBClient()
     db = client["upin"]
     seed_servers(db)
-    net_config = scionlab_network_config(seed=20231112)
-    net_config.scalar_fallback = scalar_fallback
-    host = ScionHost(build_scionlab_world(), MY_AS, config=net_config)
+    host = ScionHost(
+        build_scionlab_world(), MY_AS, config=scionlab_network_config(seed=20231112)
+    )
     config = SuiteConfig(iterations=1, destination_ids=study_destination_ids())
     PathsCollector(host, db, config).collect()
     report = TestRunner(host, db, config).run()
@@ -290,48 +313,125 @@ def _campaign_digest(*, scalar_fallback):
     return hashlib.sha256(blob).hexdigest(), report
 
 
-class TestScalarFallbackGolden:
-    def test_scalar_fallback_reproduces_pre_batch_campaign(self):
-        """``scalar_fallback=True`` is byte-identical to the old engine."""
-        digest, report = _campaign_digest(scalar_fallback=True)
-        assert report.stats_stored == 80
-        assert digest == PRE_BATCH_CAMPAIGN_SHA256
+def _trace_rows(hops):
+    return [
+        (
+            h.index,
+            str(h.isd_as),
+            h.interface,
+            [None if r is None else round(r, 6) for r in h.rtts_ms],
+        )
+        for h in hops
+    ]
 
-    def test_batch_campaign_is_deterministic_but_differs_from_scalar(self):
-        """Batch mode re-chunks the RNG streams: deterministic per seed,
-        different draws from the scalar walker."""
-        digest_a, report = _campaign_digest(scalar_fallback=False)
-        digest_b, _ = _campaign_digest(scalar_fallback=False)
-        assert digest_a == digest_b
-        assert digest_a != PRE_BATCH_CAMPAIGN_SHA256
+
+class TestCampaignGolden:
+    def test_batch_campaign_golden(self):
+        """The seeded campaign is pinned: one batch series per ping."""
+        digest, report = _campaign_digest()
+        assert digest == BATCH_CAMPAIGN_SHA256
         assert report.stats_stored == 80
-        # The whole campaign rode the fast path: one batch series per
-        # ping, zero scalar fallback series.
         assert m.counter_value(report.metrics, m.NET_BATCH_SERIES) == 80
-        assert m.counter_value(report.metrics, m.NET_SCALAR_FALLBACKS) == 0
 
 
 class TestTracerouteGolden:
     def test_seeded_traceroute_pins_partial_probe_streams(self):
-        """``probe_partial`` keeps its interleaved scalar stream order.
-
-        Routing traceroute through the batch engine would re-chunk the
-        per-link streams shared between depths and silently change every
-        hop series; this golden (captured pre-PR) pins the contract.
-        """
+        """The prefix (partial-depth) probes of a seeded traceroute draw
+        from the links' traceroute streams in one pinned order."""
         host = ScionHost.scionlab(seed=7)
         path = host.paths("16-ffaa:0:1002", max_paths=1)[0]
-        hops = host.scmp.traceroute(path)
-        got = [
-            (
-                h.index,
-                str(h.isd_as),
-                h.interface,
-                [None if r is None else round(r, 6) for r in h.rtts_ms],
-            )
-            for h in hops
-        ]
-        assert got == TRACEROUTE_GOLDEN
+        assert _trace_rows(host.scmp.traceroute(path)) == TRACEROUTE_GOLDEN
+
+
+class TestTraceroute:
+    def test_traceroute_deterministic_across_hosts(self):
+        def run(seed):
+            host = ScionHost.scionlab(seed=seed)
+            path = host.paths("16-ffaa:0:1002", max_paths=1)[0]
+            return _trace_rows(host.scmp.traceroute(path, probes_per_hop=5))
+
+        assert run(42) == run(42)
+        assert run(42) != run(43)
+
+    def test_one_batch_and_clock_timeline(self):
+        """All probes are one batch; probe i departs at t0 + i·interval
+        and the clock advances by the whole run's send time."""
+        host = ScionHost.scionlab(seed=7)
+        path = host.paths("16-ffaa:0:1002", max_paths=1)[0]
+        net = host.network
+        seen = []
+        real = net.probe_depths
+
+        def spy(*args, **kwargs):
+            series = real(*args, **kwargs)
+            seen.append(series)
+            return series
+
+        net.probe_depths = spy
+        t0 = net.clock.now_s
+        hops = host.scmp.traceroute(path, probes_per_hop=4, interval_s=0.05)
+        (series,) = seen
+        n = 4 * len(hops)
+        np.testing.assert_allclose(
+            series.send_times_s, t0 + np.arange(n) * 0.05
+        )
+        assert net.clock.now_s == pytest.approx(t0 + n * 0.05)
+        assert net.counters.batch_packets == n
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_blackholed_link_loses_exactly_hops_from_k(self, k):
+        """A blackhole on link k kills every probe to hops ≥ k (their
+        lanes cross link k) and none of the lanes that turn back before."""
+        net = _fresh_net(7)
+        steps = _path_user_to_leaf(net.topology)
+        net.add_episode(
+            CongestionEpisode.on_links([steps[k - 1].link], 0.0, 1e6, loss=1.0)
+        )
+        per_hop = 20
+        depths = np.repeat(np.arange(1, len(steps) + 1), per_hop)
+        series = net.probe_depths(steps, _packet(), depths, purpose="test", t0_s=0.0)
+        lost = series.lost_mask.reshape(len(steps), per_hop)
+        for depth in range(1, len(steps) + 1):
+            if depth >= k:
+                assert bool(lost[depth - 1].all()), depth
+            else:
+                assert int(np.count_nonzero(~lost[depth - 1])) >= per_hop - 2
+
+    def test_echo_series_isolated_from_traceroute_and_showpaths(self):
+        """Traceroute and showpaths draw from their own streams: an echo
+        series is byte-identical whether or not they probed the same
+        links before it."""
+
+        def echo(probe_first):
+            host = ScionHost.scionlab(seed=11)
+            path = host.paths("16-ffaa:0:1002", max_paths=1)[0]
+            if probe_first:
+                host.scmp.traceroute(path, probes_per_hop=5)
+                ShowpathsApp(host).run("16-ffaa:0:1002", max_paths=3, probe=True)
+            host.clock.advance_to(100.0)
+            return host.scmp.echo_series(path, "10.2.0.2", count=60)
+
+        plain, after_probes = echo(False), echo(True)
+        assert plain.rtts_ms == after_probes.rtts_ms
+        assert plain.received == after_probes.received
+
+    def test_depth_laned_probe_rejects_echo_purpose(self):
+        net = _fresh_net(7)
+        steps = _path_user_to_leaf(net.topology)
+        with pytest.raises(ValidationError):
+            net.probe_depths(steps, _packet(), [1, 2], purpose=ECHO)
+
+    def test_purpose_streams_created_lazily(self):
+        """Building a network creates no probe-purpose generators; a
+        traceroute creates one per (link, direction) it crosses."""
+        net = _fresh_net(7)
+        before = set(net._streams._streams)
+        assert not any(name.endswith(":traceroute") for name in before)
+        steps = _path_user_to_leaf(net.topology)
+        net.probe_depths(steps, _packet(), [1, 2, 3, 4], purpose="traceroute")
+        created = set(net._streams._streams) - before
+        assert len(created) == 2 * len(steps)
+        assert all(name.endswith(":traceroute") for name in created)
 
 
 # -- flow ledger ---------------------------------------------------------------
@@ -474,7 +574,7 @@ class TestNetMetrics:
         assert set(m._NET_STAT_NAMES) == slots
 
     def test_campaign_report_carries_data_plane_counters(self):
-        digest, report = _campaign_digest(scalar_fallback=False)
+        digest, report = _campaign_digest()
         assert m.counter_value(report.metrics, m.NET_BATCH_PACKETS) == 80 * 30
         # Every bwtest window lands at a fresh clock time in a serial
         # campaign, so the sampler cache records misses (hits come from
@@ -483,12 +583,6 @@ class TestNetMetrics:
         text = m.format_metrics(report.metrics)
         assert "data plane:" in text
         assert "batch series" in text
-
-    def test_scalar_campaign_counts_fallback_series(self):
-        digest, report = _campaign_digest(scalar_fallback=True)
-        assert m.counter_value(report.metrics, m.NET_SCALAR_FALLBACKS) == 80
-        assert m.counter_value(report.metrics, m.NET_BATCH_SERIES) == 0
-        assert m.counter_value(report.metrics, m.NET_SCALAR_PROBES) == 80 * 30
 
 
 # -- vectorized utilization reads ---------------------------------------------

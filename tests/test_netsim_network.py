@@ -1,5 +1,6 @@
 """Tests for link dynamics, congestion and the network facade."""
 
+import numpy as np
 import pytest
 
 from repro.errors import TopologyError, ValidationError
@@ -108,18 +109,20 @@ class TestLinkState:
     def test_transit_packet_delay_positive(self, net):
         link = net.topology.link_between("1-ffaa:0:1", "2-ffaa:0:1")[0]
         state = net.link_state(link)
-        sample = state.transit_packet(LinkDirection.A_TO_B, 1000, 1, 0.0)
-        assert sample.delay_ms > state.propagation_ms
+        delay_ms, _ = state.transit_batch(
+            LinkDirection.A_TO_B, 1000, 1, np.zeros(50)
+        )
+        assert delay_ms.shape == (50,)
+        assert bool((delay_ms > state.propagation_ms).all())
 
     def test_blackout_episode_drops_everything(self, net):
         link = net.topology.link_between("1-ffaa:0:1", "2-ffaa:0:1")[0]
         net.add_episode(CongestionEpisode.on_links([link], 0.0, 100.0, loss=1.0))
         state = net.link_state(link)
-        drops = [
-            state.transit_packet(LinkDirection.A_TO_B, 100, 1, 1.0).dropped
-            for _ in range(20)
-        ]
-        assert all(drops)
+        _, dropped = state.transit_batch(
+            LinkDirection.A_TO_B, 100, 1, np.full(20, 1.0)
+        )
+        assert bool(dropped.all())
 
     def test_fluid_share_clips_offered_load(self, net):
         link = net.topology.link_between("1-ffaa:0:3", "1-ffaa:1:1")[0]
@@ -144,42 +147,78 @@ class TestLinkState:
 
 class TestNetworkSim:
     def test_oneway_transit_accumulates_delay(self, net):
+        """Every one-way leg adds its delay: a round trip to each router
+        is slower than to the one before it (medians over 50 lanes)."""
         steps = _path_user_to_leaf(net.topology)
         packet = PacketSpec(payload_bytes=64, n_hops=5)
-        sample = net.oneway_transit(steps, packet, 0.0)
-        assert sample.delay_ms > 10.0  # Amsterdam->Zurich->Frankfurt->Dublin
+        depths = np.repeat(np.arange(1, len(steps) + 1), 50)
+        series = net.probe_depths(steps, packet, depths, purpose="test", t0_s=0.0)
+        rtt = series.rtt_ms.reshape(len(steps), 50)
+        medians = np.nanmedian(rtt, axis=1)
+        assert bool((np.diff(medians) > 0).all())
+        # Amsterdam->Zurich->Frankfurt->Dublin and back.
+        assert medians[-1] > 2 * 10.0
 
     def test_empty_path_rejected(self, net):
+        packet = PacketSpec(payload_bytes=64, n_hops=1)
         with pytest.raises(ValidationError):
-            net.oneway_transit([], PacketSpec(payload_bytes=64, n_hops=1))
+            net.probe_batch([], packet, 1, 0.1)
+        with pytest.raises(ValidationError):
+            net.probe_depths([], packet, [1], purpose="test")
 
     def test_roundtrip_roughly_double_oneway(self, net):
+        """The mean RTT is about twice the one-way mean delay, summed
+        analytically over the legs (propagation + serialization + mean
+        queueing + mean |jitter|)."""
         steps = _path_user_to_leaf(net.topology)
         packet = PacketSpec(payload_bytes=64, n_hops=5)
-        one = net.oneway_transit(steps, packet, 0.0).delay_ms
-        rtt = net.probe_roundtrip(steps, packet, 0.0).rtt_ms
-        assert rtt == pytest.approx(2 * one, rel=0.5)
+        rtt = net.probe_batch(steps, packet, 500, 0.1, 0.0)
+        one_way = 0.0
+        for step in steps:
+            state = net.link_state(step.link)
+            direction = state.direction_from(step.sender)
+            cap = (
+                step.link.capacity_ab_mbps
+                if direction is LinkDirection.A_TO_B
+                else step.link.capacity_ba_mbps
+            )
+            rho = net.config.utilization_for(step.link.kind.value).mean
+            one_way += (
+                state.propagation_ms
+                + packet.total_wire_bytes * 8.0 / (cap * 1e6) * 1e3
+                + net.config.queue_scale_ms * rho / (1.0 - rho)
+                + net.config.base_jitter_ms * np.sqrt(2.0 / np.pi)
+            )
+        assert float(np.mean(rtt.received_rtts())) == pytest.approx(
+            2 * one_way, rel=0.5
+        )
 
     def test_probe_partial_shorter_than_full(self, net):
+        """A lane turning around after the first link (the traceroute
+        prefix probe) is faster than one crossing the whole path."""
         steps = _path_user_to_leaf(net.topology)
         packet = PacketSpec(payload_bytes=64, n_hops=5)
-        partial = net.probe_partial(steps, 1, packet, 0.0).rtt_ms
-        full = net.probe_roundtrip(steps, packet, 0.0).rtt_ms
+        series = net.probe_depths(
+            steps, packet, [1, len(steps)], purpose="test", t0_s=0.0
+        )
+        partial, full = series.rtt_ms
         assert partial < full
 
     def test_probe_partial_bounds(self, net):
         steps = _path_user_to_leaf(net.topology)
         packet = PacketSpec(payload_bytes=64, n_hops=5)
-        with pytest.raises(ValidationError):
-            net.probe_partial(steps, 0, packet)
-        with pytest.raises(ValidationError):
-            net.probe_partial(steps, len(steps) + 1, packet)
+        for depths in ([0], [len(steps) + 1], [], [2, 1]):
+            with pytest.raises(ValidationError):
+                net.probe_depths(steps, packet, depths, purpose="test")
 
     def test_probe_lost_during_blackout(self, net):
         steps = _path_user_to_leaf(net.topology)
         net.add_episode(CongestionEpisode.on_ases(["2-ffaa:0:1"], 0.0, 100.0))
         packet = PacketSpec(payload_bytes=64, n_hops=5)
-        assert net.probe_roundtrip(steps, packet, 1.0).lost
+        assert net.probe_batch(steps, packet, 10, 0.1, 1.0).received == 0
+        assert net.probe_depths(
+            steps, packet, [len(steps)], purpose="test", t0_s=1.0
+        ).received == 0
 
     def test_unknown_link_rejected(self, net):
         from repro.topology.entities import LinkKind, LinkSpec
@@ -236,7 +275,7 @@ class TestNetworkSim:
             net = NetworkSim(topo, NetworkConfig(seed=99))
             steps = _path_user_to_leaf(topo)
             packet = PacketSpec(payload_bytes=64, n_hops=5)
-            rtt = net.probe_roundtrip(steps, packet, 0.0).rtt_ms
+            rtt = net.probe_batch(steps, packet, 10, 0.1, 0.0).rtt_ms.tobytes()
             bw = net.fluid_transfer(steps, 5e6, packet, 3.0).achieved_bps
             results.append((rtt, bw))
         assert results[0] == results[1]

@@ -1,10 +1,8 @@
-"""Bench of the §6 study campaign: 5 destinations, sequential vs parallel.
+"""Bench of the §6 study campaign: 5 destinations, one iteration.
 
 The paper gathered ~3000 samples over 5 destinations; this bench runs a
 scaled-down version of the same campaign and checks its bookkeeping.
 """
-
-import pytest
 
 from benchmarks.conftest import BENCH_SEED, write_figure
 from repro.docdb.client import DocDBClient
@@ -13,9 +11,7 @@ from repro.scionlab.defaults import study_destination_ids
 from repro.suite.cli import seed_servers
 from repro.suite.collect import PathsCollector
 from repro.suite.config import STATS_COLLECTION, SuiteConfig
-from repro.suite.parallel import ParallelCampaign
 from repro.suite.runner import TestRunner
-from repro.topology.scionlab import MY_AS, scionlab_network_config
 
 
 def _study_env(iterations: int):
@@ -49,17 +45,3 @@ def test_study_campaign_sequential(benchmark):
         f"{report.measurement_errors} errors",
     )
 
-
-def test_study_campaign_parallel(benchmark):
-    def run():
-        host, db, config = _study_env(iterations=1)
-        campaign = ParallelCampaign(
-            host.topology, MY_AS, db, config,
-            base_config=scionlab_network_config(seed=BENCH_SEED),
-            seed=BENCH_SEED,
-        )
-        return campaign.run(iterations=1, max_workers=5)
-
-    report = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert report.stats_stored == 80
-    assert report.measurement_errors == 0

@@ -1,7 +1,8 @@
 """Collections: the Mongo-like document container.
 
-Thread-safe (one RLock per collection — the campaign runner writes from
-a thread pool, §4.1.1), with single-field and compound indexes, a
+Thread-safe (one RLock per collection, so clients that share a store
+from several threads never interleave a mutation), with single-field
+and compound indexes, a
 cost-based query planner (:mod:`repro.docdb.planner`), an LRU+TTL
 query-result cache with epoch-based invalidation
 (:mod:`repro.docdb.cache`), and an optional document validator hook

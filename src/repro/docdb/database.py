@@ -69,7 +69,7 @@ class Database:
 
     def __contains__(self, name: str) -> bool:
         # Locked like every other accessor: membership must observe a
-        # consistent view while workers create collections concurrently.
+        # consistent view while another thread creates a collection.
         with self._lock:
             return name in self._collections
 

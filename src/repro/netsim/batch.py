@@ -31,8 +31,7 @@ batch, whatever the number of lanes.
 Determinism contract (property-tested in
 ``tests/test_netsim_fastpath.py``):
 
-* same seed ⇒ byte-identical batches across runs, hosts and 1-vs-8
-  parallel workers;
+* same seed ⇒ byte-identical batches across runs and hosts;
 * jitter and drops come from per-(link, direction, purpose) streams.
   Echo series (purpose :data:`ECHO`) keep the link's original noise
   stream, which both directions share; traceroute and showpaths

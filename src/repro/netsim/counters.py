@@ -3,10 +3,9 @@
 One :class:`NetCounters` instance is shared by a :class:`~repro.netsim.
 network.NetworkSim` and every :class:`~repro.netsim.link.LinkState` it
 owns.  The counters are plain ints — the simulator is single-threaded
-per host (parallel campaigns give every destination its own seeded
-host), so no locking is needed — and every one of them is a pure
+per host, so no locking is needed — and every one of them is a pure
 function of ``(world, seed, campaign)``: the determinism suites compare
-snapshots byte-for-byte across worker counts.
+snapshots byte-for-byte across runs.
 
 The canonical ``net_*`` metric names these map onto live in
 :mod:`repro.suite.metrics` (``_NET_STAT_NAMES``); the table in

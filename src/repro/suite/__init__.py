@@ -17,7 +17,6 @@ from repro.suite.collect import PathsCollector, CollectionReport
 from repro.suite.storage import StatsRepository, stats_document_id
 from repro.suite.runner import TestRunner, CampaignReport
 from repro.suite.faults import FaultPlan, ServerOutage, DataLossFault
-from repro.suite.parallel import ParallelCampaign
 
 __all__ = [
     "SuiteConfig",
@@ -30,5 +29,4 @@ __all__ = [
     "FaultPlan",
     "ServerOutage",
     "DataLossFault",
-    "ParallelCampaign",
 ]

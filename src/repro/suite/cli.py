@@ -6,8 +6,8 @@ Mirrors the original interface::
     upin-test-suite 10 --some_only     # only the first destination
 
 plus reproduction conveniences: ``--seed`` for determinism,
-``--parallel N`` for the scalability mode, and ``--db-dir`` to persist
-the database as JSONL snapshots.
+``--metrics`` for campaign telemetry, and ``--db-dir`` (with
+``--durability``) to persist the database.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import sys
 from typing import List, Optional
 
 from repro.docdb.client import DocDBClient
-from repro.errors import ReproError
+from repro.errors import ReproError, ValidationError
 from repro.scion.snet import ScionHost
 from repro.scionlab.defaults import available_server_documents
 from repro.suite.collect import PathsCollector
@@ -29,9 +29,7 @@ from repro.suite.metrics import (
     format_wal_stats,
     wal_stats_snapshot,
 )
-from repro.suite.parallel import ParallelCampaign
 from repro.suite.runner import TestRunner
-from repro.topology.scionlab import MY_AS, scionlab_network_config
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -53,16 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="test only the first destination in availableServers",
     )
     parser.add_argument("--seed", type=int, default=20231112)
-    parser.add_argument(
-        "--parallel", type=int, default=0, metavar="N",
-        help="shard destinations over N worker threads",
-    )
-    parser.add_argument(
-        "--fail-fast",
-        action="store_true",
-        help="abort the parallel campaign on the first worker failure "
-        "instead of isolating it (§4.1.2 default: isolate)",
-    )
     parser.add_argument(
         "--metrics",
         action="store_true",
@@ -101,8 +89,12 @@ def seed_servers(db) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    config = SuiteConfig(iterations=args.iterations, some_only=args.some_only,
-                         skip_collection=args.skip)
+    try:
+        config = SuiteConfig(iterations=args.iterations, some_only=args.some_only,
+                             skip_collection=args.skip)
+    except ValidationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.durability != "snapshot" and args.db_dir is None:
         print("error: --durability requires --db-dir", file=sys.stderr)
         return 2
@@ -165,56 +157,24 @@ def main(argv: Optional[List[str]] = None) -> int:
                 f"({collection.paths_deleted} stale deleted, "
                 f"{len(collection.failures)} failures)"
             )
-        if args.parallel > 0:
-            campaign = ParallelCampaign(
-                host.topology, MY_AS, db, config,
-                base_config=scionlab_network_config(seed=args.seed), seed=args.seed,
-                signer=signer, signer_subject=signer_subject,
-                fail_fast=args.fail_fast,
-            )
-            preport = campaign.run(iterations=args.iterations, max_workers=args.parallel)
-            print(
-                f"parallel campaign: {preport.stats_stored} stats stored, "
-                f"{preport.paths_tested} path tests, "
-                f"{preport.stats_lost} lost, "
-                f"{preport.measurement_errors} errors"
-            )
-            if preport.failed_destinations:
-                print(
-                    f"failed destinations: "
-                    f"{len(preport.failed_destinations)} "
-                    f"(of {len(preport.per_destination)})"
-                )
-                for sid in sorted(preport.failed_destinations):
-                    print(f"  - {sid}: {preport.failed_destinations[sid]}")
-            if args.metrics:
-                block = format_metrics(preport.metrics, indent="  ")
-                print("metrics:" + ("\n" + block if block else " (none)"))
-                db_block = format_database_stats(database_stats_snapshot(db))
-                if db_block:
-                    print(db_block)
-                wal_block = format_wal_stats(wal_stats_snapshot(client))
-                if wal_block:
-                    print(wal_block)
-        else:
-            report = TestRunner(
-                host, db, config, signer=signer, signer_subject=signer_subject
-            ).run()
-            print(
-                f"campaign: {report.stats_stored} stats stored, "
-                f"{report.paths_tested} path tests, "
-                f"{report.stats_lost} lost, {report.measurement_errors} errors, "
-                f"{report.sim_seconds:.1f} simulated seconds"
-            )
-            if args.metrics:
-                block = format_metrics(report.metrics, indent="  ")
-                print("metrics:" + ("\n" + block if block else " (none)"))
-                db_block = format_database_stats(database_stats_snapshot(db))
-                if db_block:
-                    print(db_block)
-                wal_block = format_wal_stats(wal_stats_snapshot(client))
-                if wal_block:
-                    print(wal_block)
+        report = TestRunner(
+            host, db, config, signer=signer, signer_subject=signer_subject
+        ).run()
+        print(
+            f"campaign: {report.stats_stored} stats stored, "
+            f"{report.paths_tested} path tests, "
+            f"{report.stats_lost} lost, {report.measurement_errors} errors, "
+            f"{report.sim_seconds:.1f} simulated seconds"
+        )
+        if args.metrics:
+            block = format_metrics(report.metrics, indent="  ")
+            print("metrics:" + ("\n" + block if block else " (none)"))
+            db_block = format_database_stats(database_stats_snapshot(db))
+            if db_block:
+                print(db_block)
+            wal_block = format_wal_stats(wal_stats_snapshot(client))
+            if wal_block:
+                print(wal_block)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         if client.is_durable:

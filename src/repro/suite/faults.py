@@ -15,16 +15,12 @@ loss*, *server failure* (no answer) and *error messages* (bad answer).
   seeded random crash plans in subprocesses and asserts that recovery
   restores exactly the committed prefix.
 
-Parallel campaigns share one plan across worker threads, which imposes
-two extra obligations:
-
-* the ``injected_*`` counters are guarded by a lock, and
-* the data-loss RNG must not be a single sequential stream (draw order
-  would then depend on thread scheduling).  :meth:`FaultPlan.scoped`
-  returns a per-destination view whose crash draws come from a stream
-  derived via :func:`~repro.util.rng.derive_seed` over the destination
-  id, so the set of lost batches is a pure function of the seed — the
-  same for 1 worker or 8.
+The data-loss draws come from one sequential stream seeded by
+:attr:`DataLossFault.seed`.  The campaign flushes its batches in a fixed
+order, so the set of lost batches is a pure function of the seed and
+the campaign.  The ``injected_*`` counters and the loss stream are
+guarded by a lock, so a plan stays consistent when its hooks are
+called from more than one thread.
 """
 
 from __future__ import annotations
@@ -38,7 +34,6 @@ import numpy as np
 from repro.errors import DataLossError, ValidationError
 from repro.netsim.network import NetworkSim, ServerHealth
 from repro.topology.isd_as import ISDAS
-from repro.util.rng import derive_seed
 
 
 class SimulatedCrash(BaseException):
@@ -174,8 +169,7 @@ class DataLossFault:
 class FaultPlan:
     """A schedule of faults the runner consults during a campaign.
 
-    Thread-safe: one plan may be shared by every worker of a
-    :class:`~repro.suite.parallel.ParallelCampaign`.
+    Thread-safe: counters and loss draws are taken under one lock.
     """
 
     def __init__(
@@ -240,60 +234,6 @@ class FaultPlan:
             return
         if self._loss_draw() < self.data_loss.probability:
             self.record_loss()
-            raise DataLossError(
-                f"simulated crash before storing {len(batch)} documents"
-            )
-
-    # -- per-destination views ------------------------------------------------------
-
-    def scoped(self, server_id: int) -> "DestinationFaults":
-        """A view of this plan for one destination worker.
-
-        Shares the outage schedule and the (locked) ``injected_*``
-        counters, but owns a deterministic per-destination loss stream so
-        parallel draws are scheduling-independent.
-        """
-        return DestinationFaults(self, server_id)
-
-
-class DestinationFaults:
-    """One destination's deterministic slice of a shared :class:`FaultPlan`.
-
-    Duck-types the plan interface the runner uses
-    (:meth:`apply_server_health`, :meth:`flush_hook`); counters route to
-    the parent plan under its lock.
-    """
-
-    def __init__(self, plan: FaultPlan, server_id: int) -> None:
-        self.plan = plan
-        self.server_id = server_id
-        self._rng = (
-            np.random.default_rng(
-                derive_seed(plan.data_loss.seed, f"dest:{server_id}")
-            )
-            if plan.data_loss is not None
-            else None
-        )
-
-    @property
-    def data_loss(self) -> Optional[DataLossFault]:
-        return self.plan.data_loss
-
-    def apply_server_health(
-        self,
-        network: NetworkSim,
-        iteration: int,
-        server_id: int,
-        isd_as: str,
-        ip: str,
-    ) -> None:
-        self.plan.apply_server_health(network, iteration, server_id, isd_as, ip)
-
-    def flush_hook(self, batch: List[Dict[str, Any]]) -> None:
-        if self._rng is None or self.plan.data_loss is None:
-            return
-        if float(self._rng.random()) < self.plan.data_loss.probability:
-            self.plan.record_loss()
             raise DataLossError(
                 f"simulated crash before storing {len(batch)} documents"
             )

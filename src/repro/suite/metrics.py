@@ -12,9 +12,10 @@ simulation scale:
 * ``snapshot()`` renders the registry as a plain, JSON-friendly dict so
   :class:`~repro.suite.runner.CampaignReport` can carry it across thread
   boundaries by value.
-* :func:`merge_snapshots` folds per-destination snapshots into a
-  campaign-wide view.  The fold is commutative and associative, so the
-  merged numbers are independent of worker scheduling.
+* :func:`merge_snapshots` folds several snapshots into one view; the
+  runner uses it to add the host's data-plane counters to its own.
+  The fold is commutative and associative, so the order of the inputs
+  does not matter.
 
 Only the ``*_wall_s`` instruments observe the host's real clock; every
 other metric is a pure function of ``(world, seed, campaign)`` and is
@@ -86,8 +87,9 @@ _WAL_STAT_NAMES = {
 
 # Database/query-planner counters (folded from ``Collection.stats`` by
 # :func:`database_stats_snapshot` — read-time aggregation, deliberately
-# NOT recorded per-destination so worker scheduling cannot perturb the
-# per-runner snapshots the determinism tests compare byte-for-byte).
+# NOT recorded in the runner's registry: the collections are shared by
+# every client of the store, so the campaign snapshot the determinism
+# tests compare byte-for-byte holds only what the campaign itself did).
 DB_COLLSCANS = "db_collection_scans"
 DB_INDEX_HITS = "db_index_hits"
 DB_DOCS_EXAMINED = "db_docs_examined"
@@ -250,8 +252,8 @@ def network_stats_snapshot(network: Any) -> Dict[str, Any]:
     counters into a metrics-shaped snapshot.
 
     Returns the canonical ``net_*`` instrument names; every counter is
-    deterministic per ``(world, seed, campaign)``, so the fold keeps the
-    1-vs-N-worker determinism suites byte-identical.
+    deterministic per ``(world, seed, campaign)``, so the campaign
+    snapshot stays byte-identical across runs.
     """
     raw = network.counters.snapshot() if hasattr(network, "counters") else {}
     counters: Dict[str, float] = {}

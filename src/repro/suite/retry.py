@@ -8,7 +8,7 @@ wastes campaign time.  The seed's retry loop hammered the destination
 immediately; real measurement fleets back off exponentially so a
 struggling server is not made worse by its own monitors.
 
-Two properties matter for a *simulated* fleet:
+Two properties matter for a *simulated* campaign:
 
 * **Backoff advances only the simulated clock.**  ``clock.advance`` is
   called with the computed delay; no wall-clock sleeping ever happens,

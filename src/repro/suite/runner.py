@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional
 
 from repro.apps.bwtester import BwtestApp
 from repro.apps.ping import PingApp
@@ -39,17 +39,12 @@ from repro.suite.config import (
     STATS_COLLECTION,
     SuiteConfig,
 )
-from repro.suite.faults import DestinationFaults, FaultPlan
+from repro.suite.faults import FaultPlan
 from repro.suite.retry import RetryExecutor, RetryPolicy
 from repro.suite.storage import StatsRepository, stats_document_id
 from repro.topology.isd_as import ISDAS
 from repro.util.rng import derive_seed
 from repro.util.timefmt import TimestampSource
-
-#: Anything the runner can consult for fault injection: a whole plan
-#: (serial campaigns) or one destination's deterministic view of a
-#: shared plan (parallel campaigns).
-FaultSource = Union[FaultPlan, DestinationFaults]
 
 
 @dataclass
@@ -65,15 +60,8 @@ class CampaignReport:
     error_log: List[str] = field(default_factory=list)
     sim_seconds: float = 0.0
     wall_seconds: float = 0.0
-    #: Set when the whole campaign (not one measurement) died — parallel
-    #: mode synthesizes such a report for an isolated worker crash.
-    failure: Optional[str] = None
     #: Snapshot of the runner's :class:`~repro.suite.metrics.MetricsRegistry`.
     metrics: Dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def failed(self) -> bool:
-        return self.failure is not None
 
     @property
     def retries(self) -> int:
@@ -98,8 +86,6 @@ class CampaignReport:
             f"lost: {self.stats_lost}  errors: {self.measurement_errors}",
             f"  simulated time: {self.sim_seconds:.1f} s",
         ]
-        if self.failure is not None:
-            lines.append(f"  FAILED: {self.failure}")
         metrics_block = m.format_metrics(self.metrics)
         if metrics_block:
             lines.append(metrics_block)
@@ -120,7 +106,7 @@ class TestRunner:
         db: Database,
         config: SuiteConfig,
         *,
-        faults: Optional[FaultSource] = None,
+        faults: Optional[FaultPlan] = None,
         signer: Optional[RSAKeyPair] = None,
         signer_subject: str = "",
         metrics: Optional[m.MetricsRegistry] = None,
@@ -148,9 +134,8 @@ class TestRunner:
         )
         self._timestamps = TimestampSource(now_ms=lambda: host.clock.now_ms)
         # Backoff jitter draws come from a stream keyed off the host's
-        # network seed, so the retry schedule is reproducible and — in
-        # parallel mode, where every destination gets its own seeded
-        # host — independent of worker scheduling.
+        # network seed, so the retry schedule is reproducible and the
+        # host's own network streams are left untouched.
         self._retry = RetryExecutor(
             RetryPolicy.from_config(config),
             host.clock,
@@ -179,9 +164,8 @@ class TestRunner:
         report.destinations_tested = len(destinations) * iterations
         # Fold the host's data-plane counters (batch probes, sampler
         # cache, ledger prunes) into the campaign snapshot.  Both sides
-        # are deterministic per (world, seed, campaign) and the merge is
-        # commutative, so parallel per-destination reports stay
-        # byte-identical across worker counts.
+        # are deterministic per (world, seed, campaign), so the snapshot
+        # is byte-identical across runs.
         report.metrics = m.merge_snapshots(
             [self.metrics.snapshot(), m.network_stats_snapshot(self.host.network)]
         )

@@ -1,0 +1,49 @@
+"""Tests for the test-suite CLI."""
+
+from repro.docdb.client import DocDBClient
+from repro.suite.cli import build_parser, main, seed_servers
+from repro.suite.config import STATS_COLLECTION, SERVERS_COLLECTION
+
+
+class TestSuiteCli:
+    def test_parser_mirrors_test_suite_sh(self):
+        args = build_parser().parse_args(["100", "--skip"])
+        assert args.iterations == 100 and args.skip and not args.some_only
+
+    def test_some_only_flag(self):
+        args = build_parser().parse_args(["10", "--some_only"])
+        assert args.some_only
+
+    def test_seed_servers_idempotent(self):
+        db = DocDBClient()["upin"]
+        assert seed_servers(db) == 21
+        assert seed_servers(db) == 21
+        assert db[SERVERS_COLLECTION].count_documents() == 21
+
+    def test_main_some_only(self, capsys):
+        assert main(["1", "--some_only"]) == 0
+        out = capsys.readouterr().out
+        assert "collected 22 paths" in out
+        assert "stats stored" in out
+
+    def test_main_skip_without_paths_stores_nothing(self, capsys):
+        assert main(["1", "--skip", "--some_only"]) == 0
+        out = capsys.readouterr().out
+        assert "campaign: 0 stats stored" in out
+
+    def test_main_persists_db(self, tmp_path, capsys):
+        db_dir = str(tmp_path / "db")
+        assert main(["1", "--some_only", "--db-dir", db_dir]) == 0
+        restored = DocDBClient.load_from(db_dir)
+        assert restored["upin"][STATS_COLLECTION].count_documents() == 22
+
+    def test_main_metrics_flag(self, capsys):
+        assert main(["1", "--some_only", "--metrics"]) == 0
+        out = capsys.readouterr().out
+        assert "metrics:" in out
+        assert "batches:" in out
+
+    def test_main_negative_iterations_is_a_usage_error(self, capsys):
+        assert main(["-1"]) == 2
+        err = capsys.readouterr().err
+        assert "error: iterations must be >= 0" in err

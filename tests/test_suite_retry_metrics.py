@@ -285,13 +285,14 @@ class TestCampaignReportAccounting:
         assert report.wall_seconds > 0.0
 
     def test_format_text_includes_metrics_and_failure(self):
-        report = CampaignReport(stats_stored=3, failure="RuntimeError: boom")
+        report = CampaignReport(stats_stored=3)
+        report.record_error("destination 3: ServerUnreachableError: boom")
         report.metrics = {
             "version": 1,
             "counters": {m.RETRIES: 1.0},
             "histograms": {m.BACKOFF_S: {"count": 1, "total": 0.5, "min": 0.5, "max": 0.5}},
         }
         text = report.format_text()
-        assert "FAILED: RuntimeError: boom" in text
+        assert "- destination 3: ServerUnreachableError: boom" in text
         assert "retries: 1" in text
-        assert report.failed
+        assert report.measurement_errors == 1

@@ -1,13 +1,16 @@
 """Tests for the measurement runner, storage batching and fault plans."""
 
+from collections import Counter
+
 import pytest
 
 from repro.crypto.rsa import keypair_from_seed
 from repro.docdb.auth import SIGNATURE_FIELD, SignedDocumentVerifier
 from repro.docdb.client import DocDBClient
-from repro.errors import DataLossError
+from repro.errors import DataLossError, MeasurementError
 from repro.netsim.network import ServerHealth
 from repro.scion.snet import ScionHost
+from repro.scionlab.defaults import study_destination_ids
 from repro.suite.cli import seed_servers
 from repro.suite.collect import PathsCollector
 from repro.suite.config import PATHS_COLLECTION, STATS_COLLECTION, SuiteConfig
@@ -230,6 +233,50 @@ class TestRunnerFaultTolerance:
         # Campaign always completes all iterations.
         assert report.iterations == 4
         assert report.stats_stored > 0
+
+
+def study_env(**config_kwargs):
+    """The five study destinations at seed 3, paths collected."""
+    client = DocDBClient()
+    db = client["upin"]
+    seed_servers(db)
+    host = ScionHost.scionlab(seed=3)
+    config = SuiteConfig(
+        iterations=1, destination_ids=study_destination_ids(), **config_kwargs
+    )
+    PathsCollector(host, db, config).collect()
+    return host, db, config
+
+
+class TestRunnerDestinationIsolation:
+    """§4.1.2: one bad destination must never cost the others their data."""
+
+    DOWN = ServerOutage(1, 0, 1, ServerHealth.DOWN)
+
+    def test_down_destination_is_isolated(self):
+        host, db, config = study_env(max_retries=0)
+        assert config.continue_on_error  # the default
+        plan = FaultPlan(outages=[self.DOWN])
+        report = TestRunner(host, db, config, faults=plan).run()
+
+        counts = Counter(doc["server_id"] for doc in db[PATHS_COLLECTION].find())
+        assert set(counts) == set(study_destination_ids())
+        healthy = sum(n for sid, n in counts.items() if sid != 1)
+        assert healthy == 58
+        assert counts[1] == 22
+        # Every healthy path is stored; every path of the down one errors.
+        assert report.stats_stored == healthy
+        assert report.measurement_errors == counts[1]
+        assert plan.injected_outages == 1
+        stored = db[STATS_COLLECTION].find()
+        assert len(stored) == healthy
+        assert {doc["server_id"] for doc in stored} == set(counts) - {1}
+
+    def test_continue_on_error_false_aborts_the_campaign(self):
+        host, db, config = study_env(max_retries=0, continue_on_error=False)
+        plan = FaultPlan(outages=[self.DOWN])
+        with pytest.raises(MeasurementError):
+            TestRunner(host, db, config, faults=plan).run()
 
 
 class TestRunnerSigning:

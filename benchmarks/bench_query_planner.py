@@ -16,8 +16,16 @@ query under the three regimes the planner stack provides:
 3. **cached** — the epoch-keyed query cache answers a repeat of the
    exact same query without touching documents at all.
 
-Asserts the ISSUE's floors (indexed >= 5x scan, cached >= 20x scan)
-and writes the latency table under ``benchmarks/output/``.
+Asserts the speedup floors (indexed >= 5x scan, cached >= 20x scan)
+and writes the wall-clock latency table to
+``benchmarks/output/query_planner.txt``.
+
+A second, deterministic table, ``query_planner_plans.txt``, lists the
+plan the planner picks for a fixed filter set — winning stage, index,
+bounds, ``docsExamined`` and ``nReturned`` — covering single-field
+equality, ``$in`` and range, a compound prefix, a prefix plus range, and
+a document whose array key fan-out exceeds the index cap.  It holds no
+timings, so CI regenerates it and fails on any difference.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ from typing import Any, Dict, List
 
 from benchmarks.conftest import BENCH_SEED, write_figure
 from repro.docdb.collection import Collection
+from repro.docdb.query import matches
 from repro.suite.storage import stats_document_id
 
 ITERATIONS = 30
@@ -167,14 +176,63 @@ def test_query_planner_speedups(benchmark):
         "best-path hot-path latency (median of 9, "
         f"{result['total_docs']} docs, 30-iteration campaign shape)",
         f"  filter: {result['filter']}",
-        f"  {'regime':10s} {'latency':>12s} {'examined':>9s} {'speedup':>8s}",
-        f"  {'COLLSCAN':10s} {scan_s * 1e3:9.3f} ms {scan_examined:9d} "
-        f"{1.0:7.1f}x",
-        f"  {'IXSCAN':10s} {idx_s * 1e3:9.3f} ms {idx_examined:9d} "
-        f"{idx_speedup:7.1f}x",
-        f"  {'cached':10s} {cached_s * 1e3:9.3f} ms {0:9d} "
-        f"{cached_speedup:7.1f}x",
-        f"  index: {idx_stage['indexName']} "
-        f"(bounds {idx_stage.get('indexBounds')})",
+        f"  {'regime':10s} {'latency':>12s} {'speedup':>8s}",
+        f"  {'COLLSCAN':10s} {scan_s * 1e3:9.3f} ms {1.0:7.1f}x",
+        f"  {'IXSCAN':10s} {idx_s * 1e3:9.3f} ms {idx_speedup:7.1f}x",
+        f"  {'cached':10s} {cached_s * 1e3:9.3f} ms {cached_speedup:7.1f}x",
+        "  (plans and examined counts: query_planner_plans.txt)",
     ]
     write_figure("query_planner.txt", "\n".join(lines))
+
+
+#: Deterministic plan table inputs.  ``paths_stats`` carries the
+#: runner's indexes plus a single-field range index; ``overcap`` holds
+#: one document whose ``tags`` fan-out (100 keys) exceeds the index cap
+#: of 64 keys per document and one ordinary document.
+_LAST_ROUND_MS = BASE_MS + (ITERATIONS - 1) * DESTINATIONS * (
+    PATHS_PER_DESTINATION * STEP_MS
+)
+_PLAN_FILTERS = [
+    ("paths_stats", "single-field equality", {"path_id": "dst3_p7"}),
+    ("paths_stats", "single-field $in",
+     {"path_id": {"$in": ["dst3_p7", "dst4_p1"]}}),
+    ("paths_stats", "single-field range", {"avg_latency_ms": {"$lt": 9.0}}),
+    ("paths_stats", "compound prefix", {"server_id": 3}),
+    ("paths_stats", "prefix + range",
+     {"server_id": 3, "timestamp_ms": {"$gte": _LAST_ROUND_MS}}),
+    ("overcap", "over-cap compound prefix", {"a": 1}),
+    ("overcap", "over-cap full key", {"a": 1, "tags": 5}),
+    ("overcap", "over-cap single-field", {"tags": 5}),
+]
+
+
+def _plan_collections() -> Dict[str, Collection]:
+    stats = _load(indexed=True)
+    stats.create_index("avg_latency_ms")
+    overcap = Collection("overcap")
+    overcap.create_index([("a", 1), ("tags", 1)])
+    overcap.create_index("tags")
+    overcap.insert_many(
+        [{"_id": 1, "a": 1, "tags": list(range(100))},
+         {"_id": 2, "a": 1, "tags": [5]}]
+    )
+    return {"paths_stats": stats, "overcap": overcap}
+
+
+def test_query_planner_plans():
+    colls = _plan_collections()
+    lines = ["winning plan per filter (deterministic; no timings)"]
+    for coll_name, label, flt in _PLAN_FILTERS:
+        coll = colls[coll_name]
+        plan = coll.explain(flt)
+        stage = plan["winningPlan"]["inputStage"]
+        stats = plan["executionStats"]
+        brute = sum(1 for d in coll.all_documents() if matches(d, flt))
+        lines += [
+            f"{label}: {coll_name} {flt}",
+            f"  {stage['stage']} index={stage.get('indexName', '-')} "
+            f"bounds={stage.get('indexBounds', {})}",
+            f"  docsExamined={stats['docsExamined']} "
+            f"nReturned={stats['nReturned']} scan={brute}",
+        ]
+    write_figure("query_planner_plans.txt", "\n".join(lines))

@@ -44,6 +44,10 @@ DESTINATIONS = 10
 PATHS_PER_DESTINATION = 40
 BASE_MS = 1_700_000_000_000
 STEP_MS = 1_000
+#: Start of the final campaign iteration: the selection engine's window.
+LAST_ROUND_MS = BASE_MS + (ITERATIONS - 1) * DESTINATIONS * (
+    PATHS_PER_DESTINATION * STEP_MS
+)
 
 
 def _campaign_documents() -> List[List[Dict[str, Any]]]:
@@ -123,10 +127,7 @@ def _run() -> Dict[str, Any]:
     total_docs = ITERATIONS * DESTINATIONS * PATHS_PER_DESTINATION
 
     # The selection engine's window: one destination, last iteration.
-    last_round_start = BASE_MS + (ITERATIONS - 1) * DESTINATIONS * (
-        PATHS_PER_DESTINATION * STEP_MS
-    )
-    flt = {"server_id": 3, "timestamp_ms": {"$gte": last_round_start}}
+    flt = {"server_id": 3, "timestamp_ms": {"$gte": LAST_ROUND_MS}}
 
     scan_s = _time_query(scan_coll, flt, repeats=9, keep_cache=False)
     idx_s = _time_query(idx_coll, flt, repeats=9, keep_cache=False)
@@ -189,9 +190,6 @@ def test_query_planner_speedups(benchmark):
 #: runner's indexes plus a single-field range index; ``overcap`` holds
 #: one document whose ``tags`` fan-out (100 keys) exceeds the index cap
 #: of 64 keys per document and one ordinary document.
-_LAST_ROUND_MS = BASE_MS + (ITERATIONS - 1) * DESTINATIONS * (
-    PATHS_PER_DESTINATION * STEP_MS
-)
 _PLAN_FILTERS = [
     ("paths_stats", "single-field equality", {"path_id": "dst3_p7"}),
     ("paths_stats", "single-field $in",
@@ -199,7 +197,7 @@ _PLAN_FILTERS = [
     ("paths_stats", "single-field range", {"avg_latency_ms": {"$lt": 9.0}}),
     ("paths_stats", "compound prefix", {"server_id": 3}),
     ("paths_stats", "prefix + range",
-     {"server_id": 3, "timestamp_ms": {"$gte": _LAST_ROUND_MS}}),
+     {"server_id": 3, "timestamp_ms": {"$gte": LAST_ROUND_MS}}),
     ("overcap", "over-cap compound prefix", {"a": 1}),
     ("overcap", "over-cap full key", {"a": 1, "tags": 5}),
     ("overcap", "over-cap single-field", {"tags": 5}),
@@ -222,6 +220,7 @@ def _plan_collections() -> Dict[str, Collection]:
 def test_query_planner_plans():
     colls = _plan_collections()
     lines = ["winning plan per filter (deterministic; no timings)"]
+    wrong = []
     for coll_name, label, flt in _PLAN_FILTERS:
         coll = colls[coll_name]
         plan = coll.explain(flt)
@@ -235,4 +234,7 @@ def test_query_planner_plans():
             f"  docsExamined={stats['docsExamined']} "
             f"nReturned={stats['nReturned']} scan={brute}",
         ]
+        if stats["nReturned"] != brute:
+            wrong.append(label)
     write_figure("query_planner_plans.txt", "\n".join(lines))
+    assert not wrong, f"indexed plans disagree with a scan: {wrong}"

@@ -8,15 +8,16 @@ selection.  This package provides the same surface offline:
 * Mongo-style filter documents (``$gt``, ``$in``, ``$regex``, ``$or``,
   dotted paths, ...) and update operators (``$set``, ``$inc``,
   ``$push``, ...),
-* single-field **and compound** indexes with cost-based query planning
-  (selectivity estimates from index cardinality statistics) and
-  ``Collection.explain()`` plan documents,
-* an LRU+TTL query-result cache with epoch-based invalidation (one
-  epoch bump per write *operation*, so batched campaign flushes
-  invalidate once per batch),
+* one index structure, :class:`Index`, over one or more fields (a
+  single-field index is the one-field case), with cost-based query
+  planning (selectivity estimates from index cardinality statistics)
+  and ``Collection.explain()`` plan documents,
+* an LRU query-result cache with epoch-based invalidation (one epoch
+  bump per write *operation*, so batched campaign flushes invalidate
+  once per batch),
 * an aggregation-pipeline subset (``$match``, ``$group``, ``$sort``,
   ``$unwind``, ...) with leading-``$match`` index pushdown,
-* JSONL snapshot persistence plus an append-only operation journal,
+* JSONL snapshots plus a checksummed write-ahead log with crash recovery,
 * certificate-based write access control and signed-document
   verification (the paper's §4.1.4 security design).
 
@@ -27,7 +28,7 @@ from repro.docdb.document import new_object_id, normalize_document
 from repro.docdb.query import matches, supported_operators
 from repro.docdb.update import apply_update
 from repro.docdb.collection import Collection, InsertManyResult, UpdateResult, DeleteResult
-from repro.docdb.index import CompoundIndex, FieldIndex
+from repro.docdb.index import Index
 from repro.docdb.planner import QueryPlanner, format_plan
 from repro.docdb.cache import QueryCache, freeze
 from repro.docdb.database import Database
@@ -53,8 +54,7 @@ __all__ = [
     "InsertManyResult",
     "UpdateResult",
     "DeleteResult",
-    "FieldIndex",
-    "CompoundIndex",
+    "Index",
     "QueryPlanner",
     "QueryCache",
     "format_plan",

@@ -1,4 +1,4 @@
-"""Query-result caching: LRU + TTL with epoch-based invalidation.
+"""Query-result caching: LRU with epoch-based invalidation.
 
 The paper's workload (§4.2.2) is bursty-write / repeated-read: a
 measurement campaign batch-inserts one destination's statistics, then
@@ -10,9 +10,9 @@ exactly that shape:
   bumped once per *write operation* (once per ``insert_many`` batch,
   not once per document — see ``Collection._bump_epoch``);
 * cache entries remember the epoch they were computed under and are
-  dropped on first access after any write (epoch mismatch);
-* an optional TTL bounds staleness against out-of-band clock-coupled
-  reads (``since_ms`` windows), and an LRU bound caps memory.
+  dropped on first access after any write (epoch mismatch), so a served
+  entry is always exact and needs no expiry clock;
+* an LRU bound caps memory.
 
 Keys are produced by :func:`freeze`, which converts a filter/pipeline
 structure into nested hashable tuples.  Structures containing
@@ -22,9 +22,8 @@ non-freezable objects (e.g. a ``$lookup`` stage holding a live
 
 from __future__ import annotations
 
-import time
 from collections import OrderedDict
-from typing import Any, Callable, Dict, Hashable, Optional, Tuple
+from typing import Any, Dict, Hashable, Optional, Tuple
 
 _SCALARS = (str, int, float, bool, type(None), bytes)
 
@@ -68,26 +67,18 @@ def freeze(obj: Any) -> Optional[Hashable]:
 
 
 class QueryCache:
-    """Bounded (LRU), time-bounded (TTL), epoch-invalidated result cache.
+    """Bounded (LRU), epoch-invalidated result cache.
 
     Not internally locked: the owning :class:`~repro.docdb.collection.
     Collection` serialises access under its own RLock.
     """
 
-    def __init__(
-        self,
-        *,
-        capacity: int = 256,
-        ttl_s: Optional[float] = 60.0,
-        time_source: Callable[[], float] = time.monotonic,
-    ) -> None:
+    def __init__(self, *, capacity: int = 256) -> None:
         if capacity < 1:
             raise ValueError("cache capacity must be >= 1")
         self.capacity = capacity
-        self.ttl_s = ttl_s
-        self._now = time_source
-        # key -> (epoch, inserted_at, value)
-        self._entries: "OrderedDict[Hashable, Tuple[int, float, Any]]" = OrderedDict()
+        # key -> (epoch, value)
+        self._entries: "OrderedDict[Hashable, Tuple[int, Any]]" = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -102,10 +93,8 @@ class QueryCache:
         if entry is None:
             self.misses += 1
             return None
-        cached_epoch, inserted_at, value = entry
-        if cached_epoch != epoch or (
-            self.ttl_s is not None and self._now() - inserted_at > self.ttl_s
-        ):
+        cached_epoch, value = entry
+        if cached_epoch != epoch:
             del self._entries[key]
             self.invalidations += 1
             self.misses += 1
@@ -118,7 +107,7 @@ class QueryCache:
         """Store ``value`` computed at ``epoch``, evicting LRU overflow."""
         if key in self._entries:
             self._entries.move_to_end(key)
-        self._entries[key] = (epoch, self._now(), value)
+        self._entries[key] = (epoch, value)
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
             self.evictions += 1
@@ -135,7 +124,6 @@ class QueryCache:
         return {
             "size": len(self._entries),
             "capacity": self.capacity,
-            "ttl_s": self.ttl_s,
             "hits": self.hits,
             "misses": self.misses,
             "evictions": self.evictions,

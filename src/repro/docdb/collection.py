@@ -1,12 +1,12 @@
 """Collections: the Mongo-like document container.
 
 Thread-safe (one RLock per collection, so clients that share a store
-from several threads never interleave a mutation), with single-field
-and compound indexes, a
-cost-based query planner (:mod:`repro.docdb.planner`), an LRU+TTL
-query-result cache with epoch-based invalidation
-(:mod:`repro.docdb.cache`), and an optional document validator hook
-used by the signed statistics pipeline (§4.1.4).
+from several threads never interleave a mutation), with indexes over
+one or more fields (:class:`~repro.docdb.index.Index`), a cost-based
+query planner (:mod:`repro.docdb.planner`), an LRU query-result cache
+with epoch-based invalidation (:mod:`repro.docdb.cache`), and an
+optional document validator hook used by the signed statistics
+pipeline (§4.1.4).
 
 Write/epoch contract (the cache-invalidation backbone):
 
@@ -17,7 +17,9 @@ Write/epoch contract (the cache-invalidation backbone):
   queries only once per batch (§4.2.2);
 * cached ``find``/``aggregate``/``count_documents`` results remember
   the epoch they were computed under and are never served across a
-  bump.
+  bump.  Every mutating path bumps — inserts, updates, deletes,
+  ``create_index``/``drop_index``, bulk loads and WAL replay — so a
+  cached result is always exact and needs no expiry.
 
 Query statistics (``Collection.stats``):
 
@@ -40,7 +42,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 
 from repro.docdb.cache import QueryCache, freeze
 from repro.docdb.document import get_path, json_deepcopy, normalize_document
-from repro.docdb.index import CompoundIndex, FieldIndex
+from repro.docdb.index import Index
 from repro.docdb.planner import (
     STAGE_COLLSCAN,
     STAGE_FILTER,
@@ -117,16 +119,10 @@ def _index_name(fields: List[Tuple[str, int]]) -> str:
 class Collection:
     """One named collection of documents."""
 
-    def __init__(
-        self,
-        name: str,
-        *,
-        cache_capacity: int = 256,
-        cache_ttl_s: Optional[float] = 60.0,
-    ) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
         self._docs: Dict[Any, Dict[str, Any]] = {}
-        self._indexes: Dict[str, Union[FieldIndex, CompoundIndex]] = {}
+        self._indexes: Dict[str, Index] = {}
         self._lock = threading.RLock()
         #: Optional hook run on every inserted/updated document; raise to
         #: reject the write (used for signature verification).
@@ -142,7 +138,7 @@ class Collection:
             "explains": 0,
         }
         self._planner = QueryPlanner(self)
-        self.cache = QueryCache(capacity=cache_capacity, ttl_s=cache_ttl_s)
+        self.cache = QueryCache()
         self._epoch = 0
         #: Write-ahead-log sink, wired by :meth:`Database.attach_wal`
         #: when the owning client is opened durable.  Called as
@@ -495,24 +491,20 @@ class Collection:
     # -- indexes --------------------------------------------------------------------------------
 
     def create_index(self, spec: IndexSpec, *, unique: bool = False) -> str:
-        """Create a single-field or compound index; returns its name.
+        """Create an index over one or more fields; returns its name.
 
         ``spec`` accepts a dotted path (``"server_id"``), a list of
         paths (``["server_id", "timestamp_ms"]``) or Mongo-style
-        ``[("server_id", 1), ("timestamp_ms", 1)]`` pairs.  Single-field
-        indexes keep the bare path as their name (seed compatibility);
-        compound names follow Mongo (``server_id_1_timestamp_ms_1``).
+        ``[("server_id", 1), ("timestamp_ms", 1)]`` pairs.  Every spec
+        builds the same :class:`~repro.docdb.index.Index`.  A one-field
+        index keeps the bare path as its name (seed compatibility);
+        multi-field names follow Mongo (``server_id_1_timestamp_ms_1``).
         """
         fields = _normalize_index_spec(spec)
         name = _index_name(fields)
         with self._lock:
             if name not in self._indexes:
-                paths = [f for f, _ in fields]
-                index: Union[FieldIndex, CompoundIndex]
-                if len(paths) == 1:
-                    index = FieldIndex(paths[0], unique=unique)
-                else:
-                    index = CompoundIndex(paths, unique=unique)
+                index = Index([f for f, _ in fields], unique=unique)
                 for doc in self._docs.values():
                     index.add(doc)
                 self._indexes[name] = index

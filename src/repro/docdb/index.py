@@ -1,29 +1,37 @@
-"""Single-field and compound indexes with equality, membership and range
-support.
+"""One index structure: an ordered index over one or more fields.
 
-A :class:`FieldIndex` maps a dotted field path to the set of document
-ids holding each value.  A :class:`CompoundIndex` maps an ordered tuple
-of field paths to ids, supporting Mongo-style *leading prefix* use: a
-query may pin an equality value for the first ``j`` fields and then
-range- or membership-restrict field ``j+1``.
+An :class:`Index` maps an ordered tuple of dotted field paths to the ids
+of the documents holding each key.  It supports Mongo-style *leading
+prefix* use: a query may pin an equality value for the first ``j``
+fields and then range- or membership-restrict field ``j+1``.  A
+single-field index is simply the one-field case, so equality, ``$in``
+and range lookups on one field are prefix lookups of length 0 or 1.
 
-Range queries use lazily (re)built sorted key lists, which keeps
-inserts O(1) amortised while campaigns stream measurements in, and pays
-the sort only when a range scan actually happens — the access pattern
-of the paper's workflow (bulk writes, occasional selection queries).
+Prefix and range lookups use a lazily (re)built sorted key list, which
+keeps inserts O(1) amortised while campaigns stream measurements in,
+and pays the sort only when such a lookup actually happens — the access
+pattern of the paper's workflow (bulk writes, occasional selection
+queries).  A lookup that pins every field is a dict lookup and never
+sorts.
 
-Both index types expose *cardinality statistics* (distinct keys, total
-entries, estimated bucket sizes) that the query planner
-(:mod:`repro.docdb.planner`) uses to score candidate plans without
-materialising their result sets.
+Array-valued fields fan out into the cartesian product of their
+element keys.  A document whose fan-out exceeds
+:data:`MAX_KEY_FANOUT` is not keyed at all: its id goes into the
+index's *overflow set*, which every lookup returns and every estimate
+counts, so the residual filter re-checks it against each query.
+
+The index exposes *cardinality statistics* (distinct keys and prefixes,
+total entries) that the query planner (:mod:`repro.docdb.planner`) uses
+to score candidate plans without materialising their result sets.
 """
 
 from __future__ import annotations
 
 import bisect
 import itertools
+import math
 from numbers import Number
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.docdb.document import iter_path_values
 
@@ -34,11 +42,10 @@ _MISSING = object()
 #: ``{"b", "n", "o", "s", "z"}``; ``"~"`` sorts after all of them.
 _AFTER: Tuple[str, ...] = ("~",)
 
-#: Cap on the per-document key fan-out of a compound index over array
-#: fields (cartesian product of element keys).  Beyond this the document
-#: is indexed under a single opaque key and always re-checked by the
-#: match stage.
-_MAX_COMPOUND_FANOUT = 64
+#: Cap on the keys one document contributes to an index (the cartesian
+#: product of its per-field element keys).  A document over the cap goes
+#: into the index's overflow set instead.
+MAX_KEY_FANOUT = 64
 
 
 def _index_key(value: Any) -> Any:
@@ -57,9 +64,8 @@ def _index_key(value: Any) -> Any:
 
 def _field_keys(doc: Dict[str, Any], field: str) -> List[Any]:
     """All index keys one document contributes for one field path."""
-    values = list(iter_path_values(doc, field))
     keys: List[Any] = []
-    for v in values:
+    for v in iter_path_values(doc, field):
         if isinstance(v, list):
             keys.extend(_index_key(e) for e in v)
         else:
@@ -67,225 +73,68 @@ def _field_keys(doc: Dict[str, Any], field: str) -> List[Any]:
     return keys or [("z",)]
 
 
-class FieldIndex:
-    """Inverted index over one dotted field path."""
+class Index:
+    """Ordered index over one or more fields, with leading-prefix lookups.
 
-    def __init__(self, field: str, *, unique: bool = False) -> None:
-        self.field = field
-        self.unique = unique
-        self._by_key: Dict[Any, Set[Any]] = {}
-        self._n_entries = 0
-        self._sorted_numbers: Optional[List[Tuple[float, Any]]] = None
-        self._sorted_strings: Optional[List[Tuple[str, Any]]] = None
-
-    #: Uniform planner surface shared with :class:`CompoundIndex`.
-    @property
-    def fields(self) -> Tuple[str, ...]:
-        return (self.field,)
-
-    # -- maintenance ---------------------------------------------------------
-
-    def _keys_of(self, doc: Dict[str, Any]) -> List[Any]:
-        return _field_keys(doc, self.field)
-
-    def add(self, doc: Dict[str, Any]) -> None:
-        doc_id = doc["_id"]
-        for key in self._keys_of(doc):
-            self._by_key.setdefault(key, set()).add(doc_id)
-            self._n_entries += 1
-        self._invalidate_sorted()
-
-    def remove(self, doc: Dict[str, Any]) -> None:
-        doc_id = doc["_id"]
-        for key in self._keys_of(doc):
-            bucket = self._by_key.get(key)
-            if bucket is not None:
-                bucket.discard(doc_id)
-                self._n_entries -= 1
-                if not bucket:
-                    del self._by_key[key]
-        self._invalidate_sorted()
-
-    def _invalidate_sorted(self) -> None:
-        self._sorted_numbers = None
-        self._sorted_strings = None
-
-    def clear(self) -> None:
-        self._by_key.clear()
-        self._n_entries = 0
-        self._invalidate_sorted()
-
-    # -- cardinality statistics (planner inputs) -----------------------------
-
-    @property
-    def n_keys(self) -> int:
-        """Distinct indexed keys."""
-        return len(self._by_key)
-
-    @property
-    def n_entries(self) -> int:
-        """Total (key, id) entries — ≥ document count on array fields."""
-        return self._n_entries
-
-    def avg_bucket(self) -> float:
-        """Average ids per key — the equality-selectivity estimate."""
-        return self._n_entries / len(self._by_key) if self._by_key else 0.0
-
-    def estimate_range(
-        self,
-        *,
-        gt: Any = _MISSING,
-        gte: Any = _MISSING,
-        lt: Any = _MISSING,
-        lte: Any = _MISSING,
-    ) -> float:
-        """Estimated entries in the range, without materialising ids."""
-        bounds = [b for b in (gt, gte, lt, lte) if b is not _MISSING]
-        if not bounds:
-            return float(self._n_entries)
-        want_str = all(isinstance(b, str) for b in bounds)
-        entries = self._sorted(strings=want_str)
-        lo, hi = self._range_bounds(entries, gt=gt, gte=gte, lt=lt, lte=lte)
-        return max(0, hi - lo) * self.avg_bucket()
-
-    # -- lookups ---------------------------------------------------------------
-
-    def ids_equal(self, value: Any) -> Set[Any]:
-        return set(self._by_key.get(_index_key(value), ()))
-
-    def ids_in(self, values: Iterable[Any]) -> Set[Any]:
-        out: Set[Any] = set()
-        for v in values:
-            out |= self.ids_equal(v)
-        return out
-
-    def _range_bounds(
-        self,
-        entries: List[Tuple[Any, Set[Any]]],
-        *,
-        gt: Any = _MISSING,
-        gte: Any = _MISSING,
-        lt: Any = _MISSING,
-        lte: Any = _MISSING,
-    ) -> Tuple[int, int]:
-        bounds = [b for b in (gt, gte, lt, lte) if b is not _MISSING]
-        want_str = all(isinstance(b, str) for b in bounds)
-        lo, hi = 0, len(entries)
-        keys = [e[0] for e in entries]
-        if gte is not _MISSING:
-            lo = bisect.bisect_left(keys, gte if want_str else float(gte))
-        if gt is not _MISSING:
-            lo = max(lo, bisect.bisect_right(keys, gt if want_str else float(gt)))
-        if lte is not _MISSING:
-            hi = bisect.bisect_right(keys, lte if want_str else float(lte))
-        if lt is not _MISSING:
-            hi = min(hi, bisect.bisect_left(keys, lt if want_str else float(lt)))
-        return lo, hi
-
-    def ids_range(
-        self,
-        *,
-        gt: Any = _MISSING,
-        gte: Any = _MISSING,
-        lt: Any = _MISSING,
-        lte: Any = _MISSING,
-    ) -> Set[Any]:
-        """Ids whose indexed value falls in the given (typed) range."""
-        bounds = [b for b in (gt, gte, lt, lte) if b is not _MISSING]
-        if not bounds:
-            return set().union(*self._by_key.values()) if self._by_key else set()
-        want_str = all(isinstance(b, str) for b in bounds)
-        entries = self._sorted(strings=want_str)
-        lo, hi = self._range_bounds(entries, gt=gt, gte=gte, lt=lt, lte=lte)
-        out: Set[Any] = set()
-        for _, ids in entries[lo:hi]:
-            out |= ids
-        return out
-
-    def _sorted(self, *, strings: bool) -> List[Tuple[Any, Set[Any]]]:
-        tag = "s" if strings else "n"
-        cached = self._sorted_strings if strings else self._sorted_numbers
-        if cached is None:
-            cached = sorted(
-                ((key[1], ids) for key, ids in self._by_key.items() if key[0] == tag),
-                key=lambda pair: pair[0],
-            )
-            if strings:
-                self._sorted_strings = cached
-            else:
-                self._sorted_numbers = cached
-        return cached
-
-    def distinct_keys(self) -> List[Any]:
-        return sorted(self._by_key, key=repr)
-
-    def __len__(self) -> int:
-        return len(self._by_key)
-
-
-class CompoundIndex:
-    """Ordered multi-field index supporting leading-prefix queries.
-
-    Keys are tuples of per-field typed keys, compared lexicographically;
-    every key has exactly ``len(self.fields)`` components, so a prefix
-    tuple of ``j`` components bounds the contiguous run of keys sharing
-    that prefix in the sorted key list.
-
-    Array-valued fields fan out into the cartesian product of their
-    element keys (capped at :data:`_MAX_COMPOUND_FANOUT` combinations,
-    matching Mongo's "at most one array field per compound index in
-    practice" guidance without hard-failing).
+    Keys are tuples with one typed component per indexed field, compared
+    lexicographically; a prefix tuple of ``j`` components bounds the
+    contiguous run of keys sharing that prefix in the sorted key list.
+    Documents over the fan-out cap live in the overflow set (see the
+    module docstring).
     """
 
     def __init__(self, fields: Sequence[str], *, unique: bool = False) -> None:
-        if len(fields) < 2:
-            raise ValueError("CompoundIndex requires at least two fields")
+        if not fields:
+            raise ValueError("an index needs at least one field")
         self.fields: Tuple[str, ...] = tuple(fields)
         self.unique = unique
         self._by_key: Dict[Tuple[Any, ...], Set[Any]] = {}
+        #: Keys contributed by keyed documents, array repeats included.
         self._n_entries = 0
+        #: Ids of documents whose key fan-out exceeds the cap.
+        self._overflow: Set[Any] = set()
         self._sorted_keys: Optional[List[Tuple[Any, ...]]] = None
         #: prefix length -> distinct prefix count (lazily computed).
         self._prefix_cardinality: Dict[int, int] = {}
 
     # -- maintenance ---------------------------------------------------------
 
-    def _keys_of(self, doc: Dict[str, Any]) -> List[Tuple[Any, ...]]:
+    def _keys_of(self, doc: Dict[str, Any]) -> Optional[List[Tuple[Any, ...]]]:
+        """The document's index keys, or None when over the fan-out cap."""
         per_field = [_field_keys(doc, f) for f in self.fields]
-        fanout = 1
-        for keys in per_field:
-            fanout *= len(keys)
-        if fanout > _MAX_COMPOUND_FANOUT:
-            # Degenerate document: index under one opaque per-field key.
-            return [tuple(("o", repr(sorted(map(repr, ks)))) for ks in per_field)]
-        return [tuple(combo) for combo in itertools.product(*per_field)]
+        if math.prod(map(len, per_field)) > MAX_KEY_FANOUT:
+            return None
+        return list(itertools.product(*per_field))
 
     def add(self, doc: Dict[str, Any]) -> None:
         doc_id = doc["_id"]
-        for key in self._keys_of(doc):
+        keys = self._keys_of(doc)
+        if keys is None:
+            self._overflow.add(doc_id)
+            return
+        for key in keys:
             self._by_key.setdefault(key, set()).add(doc_id)
-            self._n_entries += 1
+        self._n_entries += len(keys)
         self._invalidate_sorted()
 
     def remove(self, doc: Dict[str, Any]) -> None:
         doc_id = doc["_id"]
-        for key in self._keys_of(doc):
+        keys = self._keys_of(doc)
+        if keys is None:
+            self._overflow.discard(doc_id)
+            return
+        for key in keys:
             bucket = self._by_key.get(key)
             if bucket is not None:
                 bucket.discard(doc_id)
-                self._n_entries -= 1
                 if not bucket:
                     del self._by_key[key]
+        self._n_entries -= len(keys)
         self._invalidate_sorted()
 
     def _invalidate_sorted(self) -> None:
         self._sorted_keys = None
         self._prefix_cardinality.clear()
-
-    def clear(self) -> None:
-        self._by_key.clear()
-        self._n_entries = 0
-        self._invalidate_sorted()
 
     def _sorted(self) -> List[Tuple[Any, ...]]:
         if self._sorted_keys is None:
@@ -294,23 +143,20 @@ class CompoundIndex:
 
     # -- cardinality statistics (planner inputs) -----------------------------
 
-    @property
-    def n_keys(self) -> int:
-        return len(self._by_key)
-
-    @property
-    def n_entries(self) -> int:
-        return self._n_entries
-
     def distinct_prefixes(self, length: int) -> int:
-        """Distinct key prefixes of ``length`` components (cached)."""
+        """Distinct key prefixes of ``length`` components (cached).
+
+        Whole keys are distinct by construction, so pinning every field
+        reads the key count in O(1) and never sorts.
+        """
         length = max(1, min(length, len(self.fields)))
+        if length == len(self.fields):
+            return len(self._by_key)
         cached = self._prefix_cardinality.get(length)
         if cached is None:
-            keys = self._sorted()
             cached = 0
             previous = _MISSING
-            for key in keys:
+            for key in self._sorted():
                 prefix = key[:length]
                 if prefix != previous:
                     cached += 1
@@ -318,33 +164,27 @@ class CompoundIndex:
             self._prefix_cardinality[length] = cached
         return cached
 
-    def estimate_equal(self, prefix_len: int) -> float:
-        """Estimated entries matched by pinning ``prefix_len`` fields."""
+    def estimate_equal(self, prefix_len: int, n_values: int = 1) -> float:
+        """Estimated entries matched by pinning ``prefix_len`` fields,
+        the last of them to any of ``n_values`` values (``$in``)."""
         distinct = self.distinct_prefixes(prefix_len)
-        return self._n_entries / distinct if distinct else 0.0
+        per_value = self._n_entries / distinct if distinct else 0.0
+        return n_values * per_value + len(self._overflow)
 
-    def estimate_prefix_range(
-        self, prefix: Tuple[Any, ...], **bounds: Any
-    ) -> float:
-        """Estimated entries for an equality prefix + range on next field."""
-        lo, hi = self._prefix_range_bounds(prefix, **bounds)
-        n_keys = max(0, hi - lo)
+    def estimate_range(self, prefix_values: Sequence[Any], **bounds: Any) -> float:
+        """Estimated entries for an equality prefix + range on the next field."""
+        lo, hi = self._slice(self._prefix(prefix_values), **bounds)
         avg_bucket = self._n_entries / len(self._by_key) if self._by_key else 0.0
-        return n_keys * avg_bucket
+        return max(0, hi - lo) * avg_bucket + len(self._overflow)
 
     # -- lookups ---------------------------------------------------------------
 
-    def key_for(self, values: Sequence[Any]) -> Tuple[Any, ...]:
-        """Normalize raw field values into a full index key."""
-        if len(values) != len(self.fields):
-            raise ValueError("key_for requires one value per indexed field")
+    def _prefix(self, values: Sequence[Any]) -> Tuple[Any, ...]:
+        if len(values) > len(self.fields):
+            raise ValueError("prefix longer than the indexed field list")
         return tuple(_index_key(v) for v in values)
 
-    def ids_equal(self, values: Sequence[Any]) -> Set[Any]:
-        """Ids matching equality on *all* indexed fields."""
-        return set(self._by_key.get(self.key_for(values), ()))
-
-    def _prefix_range_bounds(
+    def _slice(
         self,
         prefix: Tuple[Any, ...],
         *,
@@ -379,22 +219,20 @@ class CompoundIndex:
             hi = min(hi, bisect.bisect_left(keys, prefix + ((tag, norm(lt)),)))
         return lo, hi
 
-    def ids_prefix(
-        self,
-        prefix_values: Sequence[Any],
-        **bounds: Any,
-    ) -> Set[Any]:
-        """Ids matching equality on the leading ``prefix_values`` fields,
+    def ids(self, values: Sequence[Any], **bounds: Any) -> Set[Any]:
+        """Ids matching equality on the leading ``values`` fields,
         optionally range-bounded (``gt``/``gte``/``lt``/``lte``) on the
-        *next* field after the prefix."""
-        if len(prefix_values) > len(self.fields):
-            raise ValueError("prefix longer than the indexed field list")
-        prefix = tuple(_index_key(v) for v in prefix_values)
-        keys = self._sorted()
-        lo, hi = self._prefix_range_bounds(prefix, **bounds)
-        out: Set[Any] = set()
-        for key in keys[lo:hi]:
-            out |= self._by_key[key]
+        *next* field, plus the overflow set."""
+        prefix = self._prefix(values)
+        if len(prefix) == len(self.fields):
+            out = set(self._by_key.get(prefix, ()))
+        else:
+            keys = self._sorted()
+            lo, hi = self._slice(prefix, **bounds)
+            out = set()
+            for key in keys[lo:hi]:
+                out |= self._by_key[key]
+        out |= self._overflow
         return out
 
     def distinct_keys(self) -> List[Tuple[Any, ...]]:

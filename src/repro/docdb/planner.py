@@ -1,15 +1,17 @@
-"""Cost-based query planning over single-field and compound indexes.
+"""Cost-based query planning over the collection's indexes.
 
 The planner answers one question per query: *which access path touches
 the fewest documents?*  It extracts the sargable conjuncts of a filter
 (top-level equality, ``$in`` over scalars, and same-typed
-``$gt``/``$gte``/``$lt``/``$lte`` ranges), builds one candidate plan per
-applicable index — compound indexes contribute their longest usable
-*leading prefix*, optionally range-bound on the field after the prefix —
-scores every candidate with selectivity estimates derived from index
-cardinality statistics (distinct keys, entries per key), and picks the
-cheapest plan, falling back to a full collection scan (``COLLSCAN``)
-when no index wins.
+``$gt``/``$gte``/``$lt``/``$lte`` ranges) and builds one candidate plan
+per applicable index.  Every index — one field or several — contributes
+its longest usable *leading prefix* of equalities, optionally
+``$in``- or range-bound on the field after the prefix, so one plan
+builder serves them all.  Each candidate is scored with selectivity
+estimates derived from index cardinality statistics (distinct keys and
+prefixes, entries per key, the overflow set) and the cheapest plan wins,
+falling back to a full collection scan (``COLLSCAN``) when no index
+does.
 
 Every plan a query could have used is kept, so
 :meth:`~repro.docdb.collection.Collection.explain` can report the
@@ -18,9 +20,11 @@ winning plan *and* the rejected ones with their estimates, Mongo
 
 Correctness contract: an index only ever *narrows* the candidate set to
 a superset of the true matches; the residual ``FILTER`` stage re-checks
-every candidate with :func:`repro.docdb.query.matches`.  Conditions the
-index cannot answer exactly (array-equality, ``$ne``, ``$regex``, …)
-are simply not sargable and fall through to that residual check.
+every candidate with :func:`repro.docdb.query.matches`.  Documents an
+index could not key (its overflow set) are always candidates.
+Conditions the index cannot answer exactly (array-equality, ``$ne``,
+``$regex``, …) are simply not sargable and fall through to that
+residual check.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from typing import (
     Tuple,
 )
 
-from repro.docdb.index import CompoundIndex, FieldIndex
+from repro.docdb.index import Index
 
 _RANGE_OPS = ("$gt", "$gte", "$lt", "$lte")
 
@@ -165,10 +169,6 @@ class PlanOutcome:
     winning: CandidatePlan
     rejected: List[CandidatePlan] = field(default_factory=list)
 
-    @property
-    def plans_considered(self) -> int:
-        return 1 + len(self.rejected)
-
 
 class QueryPlanner:
     """Scores candidate indexes for a collection's queries.
@@ -215,56 +215,7 @@ class QueryPlanner:
         return PlanOutcome(winning=candidates[0], rejected=candidates[1:])
 
     def _index_plan(
-        self, name: str, index: Any, predicates: Dict[str, Predicate]
-    ) -> Optional[CandidatePlan]:
-        if isinstance(index, CompoundIndex):
-            return self._compound_plan(name, index, predicates)
-        if isinstance(index, FieldIndex):
-            return self._single_plan(name, index, predicates)
-        return None
-
-    def _single_plan(
-        self, name: str, index: FieldIndex, predicates: Dict[str, Predicate]
-    ) -> Optional[CandidatePlan]:
-        pred = predicates.get(index.field)
-        if pred is None:
-            return None
-        key_pattern = {index.field: 1}
-        if pred.has_eq:
-            value = pred.eq
-            return CandidatePlan(
-                stage=STAGE_IXSCAN,
-                estimated_docs=index.avg_bucket(),
-                index_name=name,
-                key_pattern=key_pattern,
-                index_bounds={index.field: _point_bounds(value)},
-                prefix_len=1,
-                _ids=lambda: index.ids_equal(value),
-            )
-        if pred.in_values is not None:
-            values = pred.in_values
-            return CandidatePlan(
-                stage=STAGE_IXSCAN,
-                estimated_docs=len(values) * index.avg_bucket(),
-                index_name=name,
-                key_pattern=key_pattern,
-                index_bounds={index.field: _in_bounds(values)},
-                prefix_len=1,
-                _ids=lambda: index.ids_in(values),
-            )
-        bounds = dict(pred.bounds)
-        return CandidatePlan(
-            stage=STAGE_IXSCAN,
-            estimated_docs=index.estimate_range(**bounds),
-            index_name=name,
-            key_pattern=key_pattern,
-            index_bounds={index.field: _range_bounds_text(bounds)},
-            prefix_len=1,
-            _ids=lambda: index.ids_range(**bounds),
-        )
-
-    def _compound_plan(
-        self, name: str, index: CompoundIndex, predicates: Dict[str, Predicate]
+        self, name: str, index: Index, predicates: Dict[str, Predicate]
     ) -> Optional[CandidatePlan]:
         # Longest equality run over the leading fields.
         eq_values: List[Any] = []
@@ -275,6 +226,7 @@ class QueryPlanner:
             else:
                 break
         j = len(eq_values)
+        prefix = tuple(eq_values)
         next_pred = (
             predicates.get(index.fields[j]) if j < len(index.fields) else None
         )
@@ -284,42 +236,30 @@ class QueryPlanner:
         }
         if next_pred is not None and next_pred.in_values is not None:
             values = next_pred.in_values
-            prefix = tuple(eq_values)
             bounds_text[index.fields[j]] = _in_bounds(values)
             return CandidatePlan(
                 stage=STAGE_IXSCAN,
-                estimated_docs=len(values) * index.estimate_equal(j + 1),
+                estimated_docs=index.estimate_equal(j + 1, len(values)),
                 index_name=name,
                 key_pattern=key_pattern,
                 index_bounds=bounds_text,
                 prefix_len=j + 1,
-                _ids=lambda: _union(
-                    index.ids_prefix(prefix + (v,)) for v in values
-                ),
+                _ids=lambda: _union(index.ids(prefix + (v,)) for v in values),
             )
         if next_pred is not None and next_pred.bounds:
             bounds = dict(next_pred.bounds)
-            prefix = tuple(eq_values)
-            prefix_keys = tuple(
-                index.key_for(
-                    list(eq_values) + [None] * (len(index.fields) - j)
-                )[:j]
-            )
             bounds_text[index.fields[j]] = _range_bounds_text(bounds)
             return CandidatePlan(
                 stage=STAGE_IXSCAN,
-                estimated_docs=index.estimate_prefix_range(
-                    prefix_keys, **bounds
-                ),
+                estimated_docs=index.estimate_range(prefix, **bounds),
                 index_name=name,
                 key_pattern=key_pattern,
                 index_bounds=bounds_text,
                 prefix_len=j + 1,
-                _ids=lambda: index.ids_prefix(prefix, **bounds),
+                _ids=lambda: index.ids(prefix, **bounds),
             )
         if j == 0:
             return None  # no usable leading prefix
-        prefix = tuple(eq_values)
         return CandidatePlan(
             stage=STAGE_IXSCAN,
             estimated_docs=index.estimate_equal(j),
@@ -327,11 +267,7 @@ class QueryPlanner:
             key_pattern=key_pattern,
             index_bounds=bounds_text,
             prefix_len=j,
-            _ids=(
-                (lambda: index.ids_equal(prefix))
-                if j == len(index.fields)
-                else (lambda: index.ids_prefix(prefix))
-            ),
+            _ids=lambda: index.ids(prefix),
         )
 
     # -- execution -----------------------------------------------------------

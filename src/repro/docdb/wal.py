@@ -347,10 +347,6 @@ class WalWriter:
         return self._next_lsn - 1
 
     @property
-    def next_lsn(self) -> int:
-        return self._next_lsn
-
-    @property
     def segment_path(self) -> str:
         return self._segment_path
 

@@ -153,13 +153,6 @@ class RevocationStore:
                     return revocation
         return None
 
-    def affects_sequence(self, sequence: str, now_s: float) -> bool:
-        """True when a stored ``--sequence`` uses a revoked interface."""
-        pairs = self._active_pairs(now_s)
-        if not pairs:
-            return False
-        return bool(sequence_interfaces(sequence) & pairs)
-
     def affected_path_ids(
         self, path_docs: Iterable[Dict[str, Any]], now_s: float
     ) -> Set[str]:

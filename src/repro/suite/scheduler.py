@@ -61,10 +61,6 @@ class MonitoringReport:
         return sum(r.stats_stored for r in self.rounds)
 
     @property
-    def total_errors(self) -> int:
-        return sum(r.errors for r in self.rounds)
-
-    @property
     def overrun_rounds(self) -> int:
         """Rounds that started late because the previous one overran."""
         return sum(1 for r in self.rounds if r.lag_s > 1e-9)

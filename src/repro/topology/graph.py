@@ -137,9 +137,6 @@ class Topology:
     def all_ases(self) -> List[AutonomousSystem]:
         return sorted(self._ases.values(), key=lambda a: a.isd_as)
 
-    def ases_in_isd(self, isd: int) -> List[AutonomousSystem]:
-        return [a for a in self.all_ases() if a.isd_as.isd == isd]
-
     def core_ases(self, isd: Optional[int] = None) -> List[AutonomousSystem]:
         return [
             a

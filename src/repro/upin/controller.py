@@ -157,12 +157,6 @@ class PathController:
             "misses": self.selection_cache_misses,
         }
 
-    def clear_selection_cache(self) -> int:
-        """Drop every memoized selection; returns the number removed."""
-        n = len(self._selection_cache)
-        self._selection_cache.clear()
-        return n
-
     # -- intents -----------------------------------------------------------------
 
     def apply_intent(self, user: str, request: UserRequest) -> FlowRule:

@@ -7,7 +7,7 @@ import pytest
 from repro.analysis.stats import whisker_stats
 from repro.crypto.primes import is_probable_prime
 from repro.docdb.client import DocDBClient
-from repro.docdb.index import FieldIndex
+from repro.docdb.index import Index
 from repro.netsim.congestion import CongestionEpisode
 from repro.netsim.network import ServerHealth
 from repro.scion.snet import ScionHost
@@ -61,47 +61,49 @@ class TestShowpathsStatusUnderFailure:
 
 
 class TestFieldIndexInternals:
+    """A single-field index is a one-field :class:`Index`."""
+
     def test_add_remove_cycle(self):
-        index = FieldIndex("v")
+        index = Index(["v"])
         doc = {"_id": 1, "v": 5}
         index.add(doc)
-        assert index.ids_equal(5) == {1}
+        assert index.ids([5]) == {1}
         index.remove(doc)
-        assert index.ids_equal(5) == set()
+        assert index.ids([5]) == set()
         assert len(index) == 0
 
     def test_missing_field_bucketed(self):
-        index = FieldIndex("v")
+        index = Index(["v"])
         index.add({"_id": 1})
-        assert index.ids_equal(None) == {1}
+        assert index.ids([None]) == {1}
 
     def test_bool_and_number_keys_distinct(self):
-        index = FieldIndex("v")
+        index = Index(["v"])
         index.add({"_id": 1, "v": True})
         index.add({"_id": 2, "v": 1})
-        assert index.ids_equal(True) == {1}
-        assert index.ids_equal(1) == {2}
+        assert index.ids([True]) == {1}
+        assert index.ids([1]) == {2}
 
     def test_string_range(self):
-        index = FieldIndex("name")
+        index = Index(["name"])
         for i, name in enumerate(["alpha", "beta", "gamma"]):
             index.add({"_id": i, "name": name})
-        assert index.ids_range(gte="b", lt="g") == {1}
+        assert index.ids([], gte="b", lt="g") == {1}
 
     def test_unbounded_range_returns_everything(self):
-        index = FieldIndex("v")
+        index = Index(["v"])
         index.add({"_id": 1, "v": 1})
         index.add({"_id": 2, "v": "text"})
-        assert index.ids_range() == {1, 2}
+        assert index.ids([]) == {1, 2}
 
     def test_array_values_indexed_per_element(self):
-        index = FieldIndex("tags")
+        index = Index(["tags"])
         index.add({"_id": 1, "tags": ["a", "b"]})
-        assert index.ids_equal("a") == {1}
-        assert index.ids_equal("b") == {1}
+        assert index.ids(["a"]) == {1}
+        assert index.ids(["b"]) == {1}
 
     def test_distinct_keys_sorted_stable(self):
-        index = FieldIndex("v")
+        index = Index(["v"])
         index.add({"_id": 1, "v": 2})
         index.add({"_id": 2, "v": 1})
         keys = index.distinct_keys()

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.docdb.collection import Collection
+from repro.docdb.index import MAX_KEY_FANOUT
 from repro.docdb.query import matches
 from repro.docdb.update import apply_update
 
@@ -203,23 +204,38 @@ class TestUpdateLaws:
         assert doc == snapshot
 
 
+#: Per-document ``tags`` array lengths, up to twice the index's key
+#: fan-out cap, so some documents land in the overflow set.
+tag_counts = st.lists(st.integers(min_value=0, max_value=2 * MAX_KEY_FANOUT))
+
+
 class TestPlannerCacheLaws:
     """The planner/cache stack must be invisible: any access path —
     linear scan, single-field index, compound index, warm cache —
     returns exactly the brute-force `matches()` result set."""
 
-    @given(st.lists(flat_documents, max_size=25), numbers, numbers)
+    @given(
+        st.lists(flat_documents, max_size=25),
+        numbers,
+        numbers,
+        tag_counts,
+        st.integers(min_value=0, max_value=2 * MAX_KEY_FANOUT),
+    )
     @settings(max_examples=50)
     def test_all_access_paths_agree_with_brute_force(
-        self, docs, eq_value, threshold
+        self, docs, eq_value, threshold, counts, tag
     ):
         stored = [dict(doc, _id=i) for i, doc in enumerate(docs)]
+        for doc, n in zip(stored, counts):
+            doc["tags"] = list(range(n))
         plain = Collection("scan")
         single = Collection("single")
         single.create_index("a")
         single.create_index("lat")
+        single.create_index("tags")
         compound = Collection("compound")
         compound.create_index([("a", 1), ("lat", 1)])
+        compound.create_index([("tags", 1), ("lat", 1)])
         for coll in (plain, single, compound):
             if stored:
                 coll.insert_many(copy.deepcopy(stored))
@@ -228,6 +244,9 @@ class TestPlannerCacheLaws:
             {"a": eq_value, "lat": {"$gte": threshold}},
             {"lat": {"$gte": threshold, "$lte": threshold + 50}},
             {"a": {"$in": [eq_value, eq_value + 1]}},
+            {"tags": tag},
+            {"tags": {"$in": [tag, eq_value]}},
+            {"tags": tag, "lat": {"$gte": threshold}},
         ]
         for flt in filters:
             brute = sorted(

@@ -14,6 +14,11 @@ pattern of the paper's workflow (bulk writes, occasional selection
 queries).  A lookup that pins every field is a dict lookup and never
 sorts.
 
+Each key's bucket, and the overflow set below, is an insertion-ordered
+dict of document ids, so a lookup returns ids in a fixed order: key
+order, then insertion order within a key.  Iterating a ``set`` of the
+paper's string ids would instead follow ``PYTHONHASHSEED``.
+
 Array-valued fields fan out into the cartesian product of their
 element keys.  A document whose fan-out exceeds
 :data:`MAX_KEY_FANOUT` is not keyed at all: its id goes into the
@@ -31,7 +36,7 @@ import bisect
 import itertools
 import math
 from numbers import Number
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, KeysView, List, Optional, Sequence, Tuple
 
 from repro.docdb.document import iter_path_values
 
@@ -88,11 +93,12 @@ class Index:
             raise ValueError("an index needs at least one field")
         self.fields: Tuple[str, ...] = tuple(fields)
         self.unique = unique
-        self._by_key: Dict[Tuple[Any, ...], Set[Any]] = {}
+        #: key -> ids of the documents holding it, in insertion order.
+        self._by_key: Dict[Tuple[Any, ...], Dict[Any, None]] = {}
         #: Keys contributed by keyed documents, array repeats included.
         self._n_entries = 0
         #: Ids of documents whose key fan-out exceeds the cap.
-        self._overflow: Set[Any] = set()
+        self._overflow: Dict[Any, None] = {}
         self._sorted_keys: Optional[List[Tuple[Any, ...]]] = None
         #: prefix length -> distinct prefix count (lazily computed).
         self._prefix_cardinality: Dict[int, int] = {}
@@ -110,10 +116,10 @@ class Index:
         doc_id = doc["_id"]
         keys = self._keys_of(doc)
         if keys is None:
-            self._overflow.add(doc_id)
+            self._overflow[doc_id] = None
             return
         for key in keys:
-            self._by_key.setdefault(key, set()).add(doc_id)
+            self._by_key.setdefault(key, {})[doc_id] = None
         self._n_entries += len(keys)
         self._invalidate_sorted()
 
@@ -121,12 +127,12 @@ class Index:
         doc_id = doc["_id"]
         keys = self._keys_of(doc)
         if keys is None:
-            self._overflow.discard(doc_id)
+            self._overflow.pop(doc_id, None)
             return
         for key in keys:
             bucket = self._by_key.get(key)
             if bucket is not None:
-                bucket.discard(doc_id)
+                bucket.pop(doc_id, None)
                 if not bucket:
                     del self._by_key[key]
         self._n_entries -= len(keys)
@@ -219,21 +225,21 @@ class Index:
             hi = min(hi, bisect.bisect_left(keys, prefix + ((tag, norm(lt)),)))
         return lo, hi
 
-    def ids(self, values: Sequence[Any], **bounds: Any) -> Set[Any]:
+    def ids(self, values: Sequence[Any], **bounds: Any) -> KeysView[Any]:
         """Ids matching equality on the leading ``values`` fields,
         optionally range-bounded (``gt``/``gte``/``lt``/``lte``) on the
-        *next* field, plus the overflow set."""
+        *next* field, plus the overflow set, in a fixed order."""
         prefix = self._prefix(values)
         if len(prefix) == len(self.fields):
-            out = set(self._by_key.get(prefix, ()))
+            out = dict(self._by_key.get(prefix, {}))
         else:
             keys = self._sorted()
             lo, hi = self._slice(prefix, **bounds)
-            out = set()
+            out = {}
             for key in keys[lo:hi]:
-                out |= self._by_key[key]
-        out |= self._overflow
-        return out
+                out.update(self._by_key[key])
+        out.update(self._overflow)
+        return out.keys()
 
     def distinct_keys(self) -> List[Tuple[Any, ...]]:
         return self._sorted()

@@ -34,10 +34,11 @@ from typing import (
     Any,
     Callable,
     Dict,
+    Iterable,
+    KeysView,
     List,
     Optional,
     Sequence,
-    Set,
     Tuple,
 )
 
@@ -137,8 +138,9 @@ class CandidatePlan:
     index_bounds: Dict[str, str] = field(default_factory=dict)
     #: How many leading index fields the plan pins (prefix length).
     prefix_len: int = 0
-    #: Materialises the candidate id set (None for COLLSCAN/IDHACK).
-    _ids: Optional[Callable[[], Set[Any]]] = None
+    #: Materialises the candidate ids in index order (None for
+    #: COLLSCAN/IDHACK).
+    _ids: Optional[Callable[[], KeysView[Any]]] = None
     #: Point-lookup key for IDHACK plans.
     _point_id: Any = None
 
@@ -296,11 +298,12 @@ class QueryPlanner:
 # -- rendering ---------------------------------------------------------------
 
 
-def _union(sets: Any) -> Set[Any]:
-    out: Set[Any] = set()
-    for s in sets:
-        out |= s
-    return out
+def _union(id_views: Iterable[KeysView[Any]]) -> KeysView[Any]:
+    """Ids of several lookups, first occurrence first."""
+    out: Dict[Any, None] = {}
+    for ids in id_views:
+        out.update(dict.fromkeys(ids))
+    return out.keys()
 
 
 def _point_bounds(value: Any) -> str:

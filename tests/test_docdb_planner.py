@@ -9,8 +9,11 @@ sync with the matcher's dispatch set.
 
 from __future__ import annotations
 
+import json
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -150,6 +153,48 @@ class TestPlanSelection:
         )
         assert "a" in preds and preds["a"].has_eq
         assert "b" not in preds and "c" not in preds
+
+
+#: Runs indexed queries over string ids and prints each result's id order.
+_ORDER_SCRIPT = """
+import json
+from repro.docdb.collection import Collection
+
+coll = Collection("paths_stats")
+coll.create_index("server_id")
+coll.create_index("timestamp_ms")
+coll.insert_many([
+    {"_id": f"2_{i % 7}_{1700000000 + i}", "server_id": i % 3, "timestamp_ms": i}
+    for i in range(60)
+])
+queries = [
+    {"server_id": 1},
+    {"server_id": {"$in": [2, 0]}},
+    {"timestamp_ms": {"$gte": 10, "$lt": 50}},
+]
+out = []
+for q in queries:
+    assert coll.explain(q)["winningPlan"]["inputStage"]["stage"] == "IXSCAN"
+    out.append([d["_id"] for d in coll.find(q)])
+print(json.dumps(out))
+"""
+
+
+class TestResultOrder:
+    def test_index_served_find_order_does_not_depend_on_hash_seed(self):
+        """Equality, ``$in`` and range finds served by an index return
+        string ids in the same order in every process."""
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        orders = []
+        for hash_seed in ("0", "777"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            proc = subprocess.run(
+                [sys.executable, "-c", _ORDER_SCRIPT],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            orders.append(json.loads(proc.stdout))
+        assert orders[0] == orders[1]
+        assert [len(ids) for ids in orders[0]] == [20, 40, 40]
 
 
 class TestExplainReconciliation:

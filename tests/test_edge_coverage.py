@@ -146,11 +146,14 @@ class TestRunAllSmoke:
         for section in ("Figure 4", "Figure 5", "Figure 6", "Figure 7",
                         "Figure 8", "Figure 9"):
             assert section in report
-        assert "total wall time" in report
+        # The report is a pure function of seed and iterations.
+        assert "wall time" not in report
+        assert report.endswith("iterations=1, seed=77")
 
-    def test_runner_cli_writes_file(self, tmp_path):
+    def test_runner_cli_writes_file(self, tmp_path, capsys):
         from repro.experiments.runner import main
 
         out = tmp_path / "report.txt"
         assert main(["--iterations", "1", "--seed", "77", "--output", str(out)]) == 0
         assert "Figure 9" in out.read_text()
+        assert "total wall time" in capsys.readouterr().out

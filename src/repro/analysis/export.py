@@ -1,17 +1,15 @@
-"""Export figure data as CSV/JSON for external plotting.
+"""Export figure data as CSV for external plotting.
 
 The text tables are self-contained, but anyone re-drawing the paper's
 figures (matplotlib, gnuplot, a spreadsheet) wants machine-readable
 series.  Every figure result type gets a row-oriented exporter; the
-formats are plain ``csv`` module output and ``json.dumps`` — no new
-dependencies.
+format is plain ``csv`` module output — no new dependencies.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
 from typing import Any, Dict, List, Sequence
 
 from repro.analysis.bandwidth import BandwidthSeries
@@ -121,15 +119,6 @@ def to_csv(records: Sequence[Dict[str, Any]]) -> str:
     return buffer.getvalue()
 
 
-def to_json(records: Sequence[Dict[str, Any]], *, indent: int = 2) -> str:
-    return json.dumps(list(records), indent=indent, sort_keys=True)
-
-
 def write_csv(path: str, records: Sequence[Dict[str, Any]]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(to_csv(records))
-
-
-def write_json(path: str, records: Sequence[Dict[str, Any]]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(to_json(records) + "\n")

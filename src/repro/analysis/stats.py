@@ -41,14 +41,6 @@ class WhiskerStats:
         """Whisker-to-whisker extent — the 'compactness' Fig 6 compares."""
         return self.whisker_high - self.whisker_low
 
-    def format_compact(self) -> str:
-        return (
-            f"n={self.n} mean={self.mean:.2f} "
-            f"[{self.whisker_low:.2f} |{self.q1:.2f} {self.median:.2f} "
-            f"{self.q3:.2f}| {self.whisker_high:.2f}]"
-            + (f" +{len(self.outliers)} outliers" if self.outliers else "")
-        )
-
 
 def whisker_stats(samples: Iterable[float]) -> WhiskerStats:
     """Compute box-plot statistics with Tukey (1.5*IQR) whiskers."""

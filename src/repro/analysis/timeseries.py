@@ -13,7 +13,7 @@ the paths.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.docdb.database import Database
 from repro.suite.config import STATS_COLLECTION
@@ -34,10 +34,6 @@ class LossWindow:
     end_ms: int
     samples: int
     affected_paths: Tuple[str, ...]
-
-    @property
-    def duration_ms(self) -> int:
-        return self.end_ms - self.start_ms
 
 
 def loss_timeline(db: Database, server_id: int) -> List[LossSample]:
@@ -116,13 +112,3 @@ def temporal_concentration(
         if any(w.start_ms <= s.timestamp_ms <= w.end_ms for w in windows)
     )
     return inside / len(heavy)
-
-
-def path_latency_series(
-    db: Database, path_id: str
-) -> List[Tuple[int, Optional[float]]]:
-    """(timestamp_ms, avg_latency_ms) history of one path."""
-    docs = db[STATS_COLLECTION].find(
-        {"path_id": path_id}, sort=[("timestamp_ms", 1)]
-    )
-    return [(int(d["timestamp_ms"]), d.get("avg_latency_ms")) for d in docs]

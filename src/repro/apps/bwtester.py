@@ -41,12 +41,6 @@ class BwtestParams:
     num_packets: int
     target: Bandwidth
 
-    def spec_string(self) -> str:
-        return (
-            f"{self.duration_s:g},{self.packet_bytes},{self.num_packets},"
-            f"{format_bandwidth(self.target, digits=4)}"
-        )
-
 
 def parse_bwtest_params(text: str, *, mtu: int = 1472) -> BwtestParams:
     """Parse and resolve a ``duration,size,packets,bandwidth`` string."""

@@ -6,7 +6,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.apps.sequence import Sequence
 from repro.errors import NoPathError
@@ -30,20 +30,6 @@ class TracerouteReport:
             )
             lines.append(f"{hop.index:2d} {hop.isd_as}#{hop.interface} {rtts}")
         return "\n".join(lines)
-
-    def per_link_latency_ms(self) -> List[Optional[float]]:
-        """Median incremental RTT contributed by each successive link."""
-        increments: List[Optional[float]] = []
-        prev = 0.0
-        for hop in self.hops:
-            valid = sorted(r for r in hop.rtts_ms if r is not None)
-            if not valid:
-                increments.append(None)
-                continue
-            median = valid[len(valid) // 2]
-            increments.append(max(0.0, median - prev))
-            prev = median
-        return increments
 
 
 class TracerouteApp:

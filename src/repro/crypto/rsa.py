@@ -12,12 +12,11 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from repro.crypto.primes import generate_prime
-from repro.errors import CryptoError, SignatureError
+from repro.errors import CryptoError
 
 DEFAULT_MODULUS_BITS = 512
 _PUBLIC_EXPONENT = 65537
@@ -96,16 +95,6 @@ def verify(public: RSAPublicKey, message: bytes, signature: int) -> bool:
     return pow(signature, public.e, public.n) == h
 
 
-def require_valid(public: RSAPublicKey, message: bytes, signature: int) -> None:
-    """Raise :class:`SignatureError` if verification fails."""
-    if not verify(public, message, signature):
-        raise SignatureError("signature verification failed")
-
-
 def keypair_from_seed(seed: int, *, bits: int = DEFAULT_MODULUS_BITS) -> RSAKeyPair:
     """Convenience: derive a key pair straight from an integer seed."""
     return RSAKeyPair.generate(np.random.default_rng(seed), bits=bits)
-
-
-# Re-exported for callers that want a lightweight optional-type signature.
-OptionalKeyPair = Optional[RSAKeyPair]

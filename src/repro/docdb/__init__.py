@@ -6,8 +6,9 @@ string ids, heterogeneous documents, and later queries for path
 selection.  This package provides the same surface offline:
 
 * Mongo-style filter documents (``$gt``, ``$in``, ``$regex``, ``$or``,
-  dotted paths, ...) and update operators (``$set``, ``$inc``,
-  ``$push``, ...),
+  dotted paths, ...); writes are inserts, whole-document replacements
+  (``replace_one``, with upsert) and deletes — the writes the paper's
+  test-suite issues (§4.2.2),
 * one index structure, :class:`Index`, over one or more fields (a
   single-field index is the one-field case), with cost-based query
   planning (selectivity estimates from index cardinality statistics)
@@ -15,8 +16,9 @@ selection.  This package provides the same surface offline:
 * an LRU query-result cache with epoch-based invalidation (one epoch
   bump per write *operation*, so batched campaign flushes invalidate
   once per batch),
-* an aggregation-pipeline subset (``$match``, ``$group``, ``$sort``,
-  ``$unwind``, ...) with leading-``$match`` index pushdown,
+* the aggregation stages path selection uses (``$match``, ``$group``,
+  ``$sort``, ``$limit``, ``$skip``, ``$count``) with leading-``$match``
+  index pushdown,
 * JSONL snapshots plus a checksummed write-ahead log with crash recovery,
 * certificate-based write access control and signed-document
   verification (the paper's §4.1.4 security design).
@@ -26,7 +28,6 @@ See ``docs/DATABASE.md`` for the complete query-language reference.
 
 from repro.docdb.document import new_object_id, normalize_document
 from repro.docdb.query import matches, supported_operators
-from repro.docdb.update import apply_update
 from repro.docdb.collection import Collection, InsertManyResult, UpdateResult, DeleteResult
 from repro.docdb.index import Index
 from repro.docdb.planner import QueryPlanner, format_plan
@@ -49,7 +50,6 @@ __all__ = [
     "normalize_document",
     "matches",
     "supported_operators",
-    "apply_update",
     "Collection",
     "InsertManyResult",
     "UpdateResult",

@@ -1,17 +1,14 @@
-"""A subset of the Mongo aggregation pipeline.
+"""The subset of the Mongo aggregation pipeline that path selection uses.
 
-Stages: ``$match``, ``$project``, ``$group``, ``$sort``, ``$limit``,
-``$skip``, ``$unwind``, ``$count``, ``$addFields``, ``$lookup`` (left
-outer equality join).  Group accumulators: ``$sum``,
-``$avg``, ``$min``, ``$max``, ``$push``, ``$addToSet``, ``$first``,
-``$last``.  Expressions are field references (``"$field.path"``) or
-constants — enough for the analysis queries of the reproduction
-(e.g. average latency per ISD set, Fig 6).
+Stages: ``$match``, ``$group``, ``$sort``, ``$limit``, ``$skip`` and
+``$count`` — the paper's selection queries are ``$match`` + ``$group``
+(§4.1–4.2).  Group accumulators: ``$sum``, ``$avg``, ``$min``, ``$max``,
+``$push``, ``$addToSet``, ``$first``, ``$last``.  Expressions are field
+references (``"$field.path"``) or constants.
 """
 
 from __future__ import annotations
 
-import copy
 from numbers import Number
 from typing import Any, Dict, List, Tuple
 
@@ -26,10 +23,7 @@ _ACCUMULATORS = frozenset(
 #: Stages the pipeline executor implements (kept in sync with
 #: ``run_pipeline``'s dispatch; docs/DATABASE.md documents each one).
 SUPPORTED_STAGES = frozenset(
-    {
-        "$match", "$project", "$group", "$sort", "$limit", "$skip",
-        "$unwind", "$count", "$addFields", "$lookup",
-    }
+    {"$match", "$group", "$sort", "$limit", "$skip", "$count"}
 )
 
 
@@ -65,8 +59,6 @@ def run_pipeline(
         op, spec = next(iter(stage.items()))
         if op == "$match":
             current = [d for d in current if matches(d, spec)]
-        elif op == "$project":
-            current = [_project_stage(d, spec) for d in current]
         elif op == "$group":
             current = _group_stage(current, spec)
         elif op == "$sort":
@@ -75,14 +67,8 @@ def run_pipeline(
             current = current[: int(spec)]
         elif op == "$skip":
             current = current[int(spec):]
-        elif op == "$unwind":
-            current = _unwind_stage(current, spec)
         elif op == "$count":
             current = [{str(spec): len(current)}]
-        elif op == "$addFields":
-            current = [_add_fields(d, spec) for d in current]
-        elif op == "$lookup":
-            current = _lookup_stage(current, spec)
         else:
             raise QueryError(f"unsupported pipeline stage: {op}")
     return current
@@ -98,25 +84,6 @@ def evaluate(doc: Dict[str, Any], expr: Any) -> Any:
     if isinstance(expr, list):
         return [evaluate(doc, e) for e in expr]
     return expr
-
-
-def _project_stage(doc: Dict[str, Any], spec: Dict[str, Any]) -> Dict[str, Any]:
-    out: Dict[str, Any] = {}
-    keep_id = spec.get("_id", 1)
-    for key, expr in spec.items():
-        if key == "_id":
-            continue
-        if expr in (1, True):
-            found, value = get_path(doc, key)
-            if found:
-                out[key] = copy.deepcopy(value)
-        elif expr in (0, False):
-            continue
-        else:
-            out[key] = evaluate(doc, expr)
-    if keep_id in (1, True) and "_id" in doc:
-        out["_id"] = doc["_id"]
-    return out
 
 
 def _group_stage(
@@ -179,72 +146,3 @@ def _sort_stage(
     from repro.docdb.collection import _sorted_docs
 
     return _sorted_docs(docs, list(spec.items()))
-
-
-def _unwind_stage(docs: List[Dict[str, Any]], spec: Any) -> List[Dict[str, Any]]:
-    path = spec if isinstance(spec, str) else spec.get("path", "")
-    if not path.startswith("$"):
-        raise QueryError("$unwind path must start with '$'")
-    field_path = path[1:]
-    out: List[Dict[str, Any]] = []
-    for doc in docs:
-        found, value = get_path(doc, field_path)
-        if not found or value is None:
-            continue
-        if not isinstance(value, list):
-            out.append(doc)
-            continue
-        for element in value:
-            clone = copy.deepcopy(doc)
-            from repro.docdb.document import set_path
-
-            set_path(clone, field_path, element)
-            out.append(clone)
-    return out
-
-
-def _add_fields(doc: Dict[str, Any], spec: Dict[str, Any]) -> Dict[str, Any]:
-    """$addFields: evaluate expressions and merge them into the document."""
-    out = copy.deepcopy(doc)
-    from repro.docdb.document import set_path
-
-    for path, expr in spec.items():
-        set_path(out, path, evaluate(doc, expr))
-    return out
-
-
-def _lookup_stage(
-    docs: List[Dict[str, Any]], spec: Dict[str, Any]
-) -> List[Dict[str, Any]]:
-    """$lookup: left outer equality join against another collection.
-
-    ``from`` may be a :class:`~repro.docdb.collection.Collection` object
-    or a plain list of documents; ``localField``/``foreignField`` use
-    dotted paths; matches land as an array under ``as``.
-    """
-    for key in ("from", "localField", "foreignField", "as"):
-        if key not in spec:
-            raise QueryError(f"$lookup requires {key!r}")
-    source = spec["from"]
-    foreign_docs = source.find() if hasattr(source, "find") else list(source)
-    local_field = str(spec["localField"])
-    foreign_field = str(spec["foreignField"])
-    target = str(spec["as"])
-
-    # Index the foreign side once (hashable keys only).
-    by_key: Dict[Any, List[Dict[str, Any]]] = {}
-    for fdoc in foreign_docs:
-        found, value = get_path(fdoc, foreign_field)
-        key = repr(value) if found else repr(None)
-        by_key.setdefault(key, []).append(fdoc)
-
-    out: List[Dict[str, Any]] = []
-    for doc in docs:
-        found, value = get_path(doc, local_field)
-        key = repr(value) if found else repr(None)
-        joined = copy.deepcopy(doc)
-        from repro.docdb.document import set_path
-
-        set_path(joined, target, copy.deepcopy(by_key.get(key, [])))
-        out.append(joined)
-    return out

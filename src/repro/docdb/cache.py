@@ -16,8 +16,8 @@ exactly that shape:
 
 Keys are produced by :func:`freeze`, which converts a filter/pipeline
 structure into nested hashable tuples.  Structures containing
-non-freezable objects (e.g. a ``$lookup`` stage holding a live
-``Collection``) yield ``None``, which callers treat as *uncacheable*.
+values it cannot freeze (any object that is not a scalar, dict, list or
+tuple) yield ``None``, which callers treat as *uncacheable*.
 """
 
 from __future__ import annotations

@@ -51,7 +51,6 @@ from repro.docdb.planner import (
     QueryPlanner,
 )
 from repro.docdb.query import matches
-from repro.docdb.update import apply_update, is_update_document
 from repro.docdb.wal import (
     OP_CREATE_INDEX,
     OP_DELETE,
@@ -107,6 +106,11 @@ def _normalize_index_spec(spec: IndexSpec) -> List[Tuple[str, int]]:
     if not out:
         raise QueryError("index spec must name at least one field")
     return out
+
+
+def is_update_document(doc: Dict[str, Any]) -> bool:
+    """True when ``doc`` uses ``$`` operators (vs. a full replacement)."""
+    return isinstance(doc, dict) and any(k.startswith("$") for k in doc)
 
 
 def _index_name(fields: List[Tuple[str, int]]) -> str:
@@ -247,7 +251,6 @@ class Collection:
     def find(
         self,
         flt: Optional[Dict[str, Any]] = None,
-        projection: Optional[Dict[str, int]] = None,
         *,
         sort: Optional[SortSpec] = None,
         limit: int = 0,
@@ -256,12 +259,12 @@ class Collection:
         """Return matching documents (deep copies), optionally sorted.
 
         Results are served from the epoch-keyed query cache when the
-        exact same ``(filter, projection, sort, limit, skip)`` was
+        exact same ``(filter, sort, limit, skip)`` was
         answered since the last write.
         """
         flt = flt or {}
         sort_key = tuple((f, d) for f, d in sort) if sort else None
-        cache_key = freeze(("find", flt, projection, sort_key, limit, skip))
+        cache_key = freeze(("find", flt, sort_key, limit, skip))
         with self._lock:
             epoch = self._epoch
             if cache_key is not None:
@@ -278,8 +281,6 @@ class Collection:
             out = out[skip:]
         if limit:
             out = out[:limit]
-        if projection:
-            out = [_project(d, projection) for d in out]
         if cache_key is not None:
             with self._lock:
                 self.cache.put(cache_key, epoch, out)
@@ -289,11 +290,10 @@ class Collection:
     def find_one(
         self,
         flt: Optional[Dict[str, Any]] = None,
-        projection: Optional[Dict[str, int]] = None,
         *,
         sort: Optional[SortSpec] = None,
     ) -> Optional[Dict[str, Any]]:
-        results = self.find(flt, projection, sort=sort, limit=1)
+        results = self.find(flt, sort=sort, limit=1)
         return results[0] if results else None
 
     def count_documents(self, flt: Optional[Dict[str, Any]] = None) -> int:
@@ -388,76 +388,44 @@ class Collection:
                 "epoch": self._epoch,
             }
 
-    # -- updates -------------------------------------------------------------------------
-
-    def update_one(
-        self,
-        flt: Dict[str, Any],
-        update: Dict[str, Any],
-        *,
-        upsert: bool = False,
-    ) -> UpdateResult:
-        return self._update(flt, update, multi=False, upsert=upsert)
-
-    def update_many(
-        self,
-        flt: Dict[str, Any],
-        update: Dict[str, Any],
-        *,
-        upsert: bool = False,
-    ) -> UpdateResult:
-        return self._update(flt, update, multi=True, upsert=upsert)
+    # -- replacement ---------------------------------------------------------------------
 
     def replace_one(
         self, flt: Dict[str, Any], replacement: Dict[str, Any], *, upsert: bool = False
     ) -> UpdateResult:
+        """Replace the first document matching ``flt`` with a copy of
+        ``replacement`` that keeps the stored ``_id``.
+
+        With ``upsert`` and no match, the filter's plain equality fields
+        plus ``replacement`` are inserted instead.  Replacing a document
+        with an equal one is a no-op: no WAL record, no epoch bump.
+        """
         if is_update_document(replacement):
             raise QueryError("replacement document cannot contain operators")
-        return self._update(flt, replacement, multi=False, upsert=upsert)
-
-    def _update(
-        self,
-        flt: Dict[str, Any],
-        update: Dict[str, Any],
-        *,
-        multi: bool,
-        upsert: bool,
-    ) -> UpdateResult:
         with self._lock:
-            matched = 0
-            modified = 0
-            changed: List[Dict[str, Any]] = []
             for doc in self._execute_filter(flt):
-                matched += 1
-                new_doc = apply_update(doc, update)
-                if new_doc != doc:
-                    if self.validator is not None:
-                        self.validator(new_doc)
-                    self._replace_committed(doc, new_doc)
-                    changed.append(new_doc)
-                    modified += 1
-                if not multi:
-                    break
-            if matched == 0 and upsert:
+                new_doc = copy.deepcopy(replacement)
+                new_doc["_id"] = doc["_id"]
+                if new_doc == doc:
+                    return UpdateResult(1, 0)
+                if self.validator is not None:
+                    self.validator(new_doc)
+                self._replace_committed(doc, new_doc)
+                self._bump_epoch()
+                # Physiological logging: the WAL stores the resulting
+                # document, so replay never re-runs the filter.
+                self._emit_wal(OP_UPDATE, {"docs": [new_doc]})
+                return UpdateResult(1, 1)
+            if upsert:
                 seed = {
                     k: v
                     for k, v in flt.items()
                     if not k.startswith("$") and not isinstance(v, dict)
                 }
-                new_doc = apply_update(seed, update) if is_update_document(update) else {
-                    **seed,
-                    **update,
-                }
-                stored = self._insert(new_doc)
+                stored = self._insert({**seed, **replacement})
                 self._bump_epoch()
                 return UpdateResult(0, 0, upserted_id=stored["_id"])
-            if modified:
-                self._bump_epoch()
-                # Physiological logging: the WAL stores the *resulting*
-                # documents, so replay is exact regardless of planner
-                # candidate order or update-operator re-evaluation.
-                self._emit_wal(OP_UPDATE, {"docs": changed})
-            return UpdateResult(matched, modified)
+            return UpdateResult(0, 0)
 
     def _replace_committed(self, old: Dict[str, Any], new: Dict[str, Any]) -> None:
         for index in self._indexes.values():
@@ -526,9 +494,6 @@ class Collection:
                 self._bump_epoch()
                 self._emit_wal(OP_DROP_INDEX, {"name": name})
 
-    def list_indexes(self) -> List[str]:
-        return sorted(self._indexes)
-
     def index_information(self) -> Dict[str, Dict[str, Any]]:
         """Index metadata: ``{name: {"fields": [(path, 1), ...], "unique"}}``."""
         with self._lock:
@@ -590,8 +555,8 @@ class Collection:
         it can use an index instead of scanning the collection — this is
         what keeps the best-path selection query (``$match`` on
         ``server_id`` over ``paths_stats``) off the full-scan path.
-        Results are cached like ``find`` (pipelines containing live
-        objects, e.g. a ``$lookup`` ``from`` collection, are exempt).
+        Results are cached like ``find`` (a pipeline holding a value
+        :func:`~repro.docdb.cache.freeze` cannot freeze is exempt).
         """
         from repro.docdb.aggregate import run_pipeline, split_leading_match
 
@@ -654,20 +619,3 @@ def _sort_key(doc: Dict[str, Any], path: str) -> Tuple:
     if isinstance(value, str):
         return (2, 0.0, value)
     return (3, 0.0, repr(value))
-
-
-def _project(doc: Dict[str, Any], projection: Dict[str, int]) -> Dict[str, Any]:
-    include = {k for k, v in projection.items() if v}
-    exclude = {k for k, v in projection.items() if not v}
-    if include and exclude - {"_id"}:
-        raise QueryError("cannot mix inclusion and exclusion projections")
-    if include:
-        out: Dict[str, Any] = {}
-        for path in include:
-            found, value = get_path(doc, path)
-            if found:
-                out[path] = json_deepcopy(value)
-        if "_id" not in exclude and "_id" in doc:
-            out["_id"] = doc["_id"]
-        return out
-    return {k: v for k, v in doc.items() if k not in exclude}

@@ -13,7 +13,7 @@ import itertools
 import secrets
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from repro.errors import QueryError, ValidationError
+from repro.errors import ValidationError
 
 _JSON_SCALARS = (str, int, float, bool, type(None))
 
@@ -123,63 +123,3 @@ def _walk(value: Any, parts: List[str]) -> Iterator[Any]:
             for element in value:
                 if isinstance(element, dict) and head in element:
                     yield from _walk(element[head], rest)
-
-
-def set_path(doc: Dict[str, Any], path: str, value: Any) -> None:
-    """Set ``path`` in ``doc``, creating intermediate objects.
-
-    Numeric components extend lists with ``None`` padding like Mongo.
-    """
-    parts = path.split(".")
-    target: Any = doc
-    for i, part in enumerate(parts[:-1]):
-        nxt_is_index = parts[i + 1].isdigit()
-        if isinstance(target, list):
-            if not part.isdigit():
-                raise QueryError(f"cannot index list with {part!r} in path {path!r}")
-            idx = int(part)
-            while len(target) <= idx:
-                target.append(None)
-            if not isinstance(target[idx], (dict, list)) or target[idx] is None:
-                target[idx] = [] if nxt_is_index else {}
-            target = target[idx]
-        elif isinstance(target, dict):
-            if part not in target or not isinstance(target[part], (dict, list)):
-                target[part] = [] if nxt_is_index else {}
-            target = target[part]
-        else:
-            raise QueryError(f"cannot descend into {type(target).__name__} at {part!r}")
-    last = parts[-1]
-    if isinstance(target, list):
-        if not last.isdigit():
-            raise QueryError(f"cannot index list with {last!r} in path {path!r}")
-        idx = int(last)
-        while len(target) <= idx:
-            target.append(None)
-        target[idx] = value
-    elif isinstance(target, dict):
-        target[last] = value
-    else:
-        raise QueryError(f"cannot set {path!r} inside {type(target).__name__}")
-
-
-def unset_path(doc: Dict[str, Any], path: str) -> bool:
-    """Remove ``path`` from ``doc``; returns True if something was removed."""
-    parts = path.split(".")
-    target: Any = doc
-    for part in parts[:-1]:
-        if isinstance(target, dict) and part in target:
-            target = target[part]
-        elif isinstance(target, list) and part.isdigit() and int(part) < len(target):
-            target = target[int(part)]
-        else:
-            return False
-    last = parts[-1]
-    if isinstance(target, dict) and last in target:
-        del target[last]
-        return True
-    if isinstance(target, list) and last.isdigit() and int(last) < len(target):
-        # Mongo nulls out list slots rather than shifting.
-        target[int(last)] = None
-        return True
-    return False

@@ -241,8 +241,5 @@ class Index:
         out.update(self._overflow)
         return out.keys()
 
-    def distinct_keys(self) -> List[Tuple[Any, ...]]:
-        return self._sorted()
-
     def __len__(self) -> int:
         return len(self._by_key)

@@ -59,7 +59,7 @@ import struct
 import threading
 import zlib
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import StorageError, WalCorruptionError
 
@@ -237,26 +237,6 @@ def read_segment(
     return SegmentScan(records, torn_at=None, torn_bytes=0)
 
 
-def iter_wal(
-    directory: str, *, repair: bool = False
-) -> Iterator[WalRecord]:
-    """Yield every valid record across all segments, in LSN order.
-
-    With ``repair=True`` a torn tail in the final segment is physically
-    truncated off the file (the crash-recovery path); otherwise it is
-    merely not yielded.  Interior corruption always raises.
-    """
-    segments = list_segments(directory)
-    for i, (start_lsn, path) in enumerate(segments):
-        scan = read_segment(path, start_lsn, is_last=(i == len(segments) - 1))
-        yield from scan.records
-        if scan.torn_at is not None and repair:
-            with open(path, "r+b") as fh:
-                fh.truncate(scan.torn_at)
-                fh.flush()
-                os.fsync(fh.fileno())
-
-
 # -- writer -----------------------------------------------------------------
 
 #: Crash-hook signature: ``hook(event, writer, lsn, data)`` where
@@ -345,10 +325,6 @@ class WalWriter:
     def last_lsn(self) -> int:
         """The LSN of the most recently appended record (0 = none yet)."""
         return self._next_lsn - 1
-
-    @property
-    def segment_path(self) -> str:
-        return self._segment_path
 
     def segment_count(self) -> int:
         return len(list_segments(self.directory))

@@ -183,12 +183,6 @@ class FlowHealthTracker:
             slo=slo, path_id=path_id, last_transition_s=t_s
         )
 
-    def unregister(self, key: FlowKey) -> bool:
-        return self._flows.pop(key, None) is not None
-
-    def tracked(self) -> List[FlowKey]:
-        return sorted(self._flows)
-
     def is_tracked(self, key: FlowKey) -> bool:
         return key in self._flows
 
@@ -197,9 +191,6 @@ class FlowHealthTracker:
 
     def slo_of(self, key: FlowKey) -> FlowSLO:
         return self._state(key).slo
-
-    def path_of(self, key: FlowKey) -> str:
-        return self._state(key).path_id
 
     def first_breach_of(self, key: FlowKey) -> Optional[float]:
         return self._state(key).first_breach_s

@@ -21,7 +21,6 @@ diff-tested against this set):
                      detection→recovery latency)
 ``failover_suppressed`` a wanted failover was damped by the cooldown
 ``failover_failed``  reselection found no admissible replacement path
-``flow_withdrawn``   a flow left monitoring
 ==================== =====================================================
 """
 
@@ -40,7 +39,6 @@ EVENT_REVOCATION = "revocation"
 EVENT_FAILOVER = "failover"
 EVENT_FAILOVER_SUPPRESSED = "failover_suppressed"
 EVENT_FAILOVER_FAILED = "failover_failed"
-EVENT_FLOW_WITHDRAWN = "flow_withdrawn"
 
 #: Every event type the journal can emit (tested against the docs).
 EVENT_TYPES = frozenset(
@@ -52,7 +50,6 @@ EVENT_TYPES = frozenset(
         EVENT_FAILOVER,
         EVENT_FAILOVER_SUPPRESSED,
         EVENT_FAILOVER_FAILED,
-        EVENT_FLOW_WITHDRAWN,
     }
 )
 

@@ -106,19 +106,6 @@ class FlowMonitor:
         )
         return slo
 
-    def unwatch(self, user: str, server_id: int) -> bool:
-        key = (user, server_id)
-        if not self.tracker.unregister(key):
-            return False
-        self._stats_cursor_ms.pop(key, None)
-        self.journal.append(
-            jn.EVENT_FLOW_WITHDRAWN,
-            self.clock.now_s,
-            user=user,
-            server_id=server_id,
-        )
-        return True
-
     # -- revocations -----------------------------------------------------------
 
     def revoke(self, revocation: Revocation, *, blackhole: bool = True) -> None:

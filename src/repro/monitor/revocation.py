@@ -127,14 +127,6 @@ class RevocationStore:
     def active(self, now_s: float) -> List[Revocation]:
         return [r for r in self._revocations if r.active_at(now_s)]
 
-    def expire(self, now_s: float) -> int:
-        """Drop revocations past their expiry; returns count removed."""
-        before = len(self._revocations)
-        self._revocations = [
-            r for r in self._revocations if r.expires_at_s > now_s
-        ]
-        return before - len(self._revocations)
-
     # -- path matching ---------------------------------------------------------
 
     def _active_pairs(self, now_s: float) -> Set[Tuple[str, int]]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List
 
 from repro.errors import ValidationError
 from repro.netsim.clock import SimClock
@@ -25,25 +25,6 @@ class _Entry:
     time_s: float
     seq: int
     callback: Callback = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-
-
-class EventHandle:
-    """Returned by :meth:`EventQueue.schedule`; allows cancellation."""
-
-    def __init__(self, entry: _Entry) -> None:
-        self._entry = entry
-
-    def cancel(self) -> None:
-        self._entry.cancelled = True
-
-    @property
-    def time_s(self) -> float:
-        return self._entry.time_s
-
-    @property
-    def cancelled(self) -> bool:
-        return self._entry.cancelled
 
 
 class EventQueue:
@@ -54,51 +35,22 @@ class EventQueue:
         self._heap: List[_Entry] = []
         self._seq = itertools.count()
 
-    def schedule(self, time_s: float, callback: Callback) -> EventHandle:
+    def schedule(self, time_s: float, callback: Callback) -> None:
         """Schedule ``callback`` at absolute simulated time ``time_s``."""
         if time_s < self.clock.now_s:
             raise ValidationError(
                 f"cannot schedule in the past: {time_s} < {self.clock.now_s}"
             )
-        entry = _Entry(time_s=time_s, seq=next(self._seq), callback=callback)
-        heapq.heappush(self._heap, entry)
-        return EventHandle(entry)
-
-    def schedule_in(self, delay_s: float, callback: Callback) -> EventHandle:
-        return self.schedule(self.clock.now_s + delay_s, callback)
-
-    def __len__(self) -> int:
-        return sum(1 for e in self._heap if not e.cancelled)
-
-    def peek_time(self) -> Optional[float]:
-        self._drop_cancelled()
-        return self._heap[0].time_s if self._heap else None
-
-    def _drop_cancelled(self) -> None:
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
+        heapq.heappush(self._heap, _Entry(time_s, next(self._seq), callback))
 
     def step(self) -> bool:
         """Run the next event (advancing the clock); False when empty."""
-        self._drop_cancelled()
         if not self._heap:
             return False
         entry = heapq.heappop(self._heap)
         self.clock.advance_to(entry.time_s)
         entry.callback()
         return True
-
-    def run_until(self, t_s: float) -> int:
-        """Run all events with firing time <= ``t_s``; returns count run."""
-        count = 0
-        while True:
-            nxt = self.peek_time()
-            if nxt is None or nxt > t_s:
-                break
-            self.step()
-            count += 1
-        self.clock.advance_to(t_s)
-        return count
 
     def run_all(self, *, max_events: int = 1_000_000) -> int:
         """Drain the queue completely (bounded as a runaway backstop)."""

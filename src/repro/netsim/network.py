@@ -162,9 +162,6 @@ class ServerDirectory:
     def health(self, ia: "ISDAS | str", ip: str) -> ServerHealth:
         return self._state.get(self._key(ia, ip), ServerHealth.UP)
 
-    def reset(self) -> None:
-        self._state.clear()
-
 
 class NetworkSim:
     """Simulates packet and fluid traffic over a :class:`Topology`."""

@@ -118,8 +118,3 @@ class PacketSpec:
             cached = self.wire_bytes + (self.fragments - 1) * FRAGMENT_HEADER_BYTES
             object.__setattr__(self, "_total_wire_memo", cached)
         return cached
-
-    @property
-    def goodput_fraction(self) -> float:
-        """payload / wire ratio — the efficiency of this packet class."""
-        return self.payload_bytes / self.total_wire_bytes

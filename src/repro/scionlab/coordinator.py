@@ -15,7 +15,7 @@ user AS, returning the enlarged world.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.crypto.certs import Certificate, issue_certificate, self_signed
 from repro.crypto.rsa import RSAKeyPair
@@ -80,19 +80,6 @@ class Coordinator:
     def trust_store(self) -> TrustStore:
         """A trust store holding every ISD's TRC (what hosts install)."""
         return TrustStore(self._trcs.values())
-
-    def trc_for(self, isd: int) -> TRC:
-        trc = self._trcs.get(isd)
-        if trc is None:
-            raise TopologyError(f"no TRC for ISD {isd}")
-        return trc
-
-    def core_keypair(self, core: "ISDAS | str") -> RSAKeyPair:
-        core = ISDAS.parse(core)
-        kp = self._core_keys.get(core)
-        if kp is None:
-            raise TopologyError(f"{core} is not a core AS of this world")
-        return kp
 
     def issue_as_certificate(self, subject: "ISDAS | str", public_key) -> Certificate:
         """PKC for an AS, signed by (the first) core AS of its ISD."""
@@ -197,8 +184,3 @@ class Coordinator:
         )
         return Topology(ases + [user_sys], links + [access])
 
-    def user_as(self, ia: "ISDAS | str") -> Optional[UserAS]:
-        return self._user_ases.get(ISDAS.parse(ia))
-
-    def list_user_ases(self) -> List[UserAS]:
-        return [self._user_ases[k] for k in sorted(self._user_ases)]

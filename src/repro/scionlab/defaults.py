@@ -42,9 +42,3 @@ def study_destination_ids() -> List[int]:
     return ids
 
 
-def server_id_of(isd_as: str, *, ip: str = "") -> int:
-    """Lookup a server id by AS (and IP when an AS hosts several)."""
-    for server_id, (candidate, candidate_ip) in enumerate(AVAILABLE_SERVERS, start=1):
-        if candidate == isd_as and (not ip or candidate_ip == ip):
-            return server_id
-    raise KeyError(f"{isd_as} ({ip or 'any ip'}) is not an available server")

@@ -178,10 +178,6 @@ class MetricsRegistry:
             }
 
 
-def empty_snapshot() -> Dict[str, Any]:
-    return {"version": SNAPSHOT_VERSION, "counters": {}, "histograms": {}}
-
-
 def counter_value(snapshot: Optional[Dict[str, Any]], name: str) -> float:
     """Counter ``name`` out of a snapshot dict (0 when absent)."""
     if not snapshot:

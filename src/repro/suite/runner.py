@@ -67,11 +67,6 @@ class CampaignReport:
     def retries(self) -> int:
         return int(m.counter_value(self.metrics, m.RETRIES))
 
-    @property
-    def backoff_seconds(self) -> float:
-        hist = m.histogram_stats(self.metrics, m.BACKOFF_S)
-        return float(hist["total"]) if hist else 0.0
-
     def record_error(self, message: str, *, cap: int = 200) -> None:
         self.measurement_errors += 1
         if len(self.error_log) < cap:

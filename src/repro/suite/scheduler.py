@@ -60,11 +60,6 @@ class MonitoringReport:
     def stats_stored(self) -> int:
         return sum(r.stats_stored for r in self.rounds)
 
-    @property
-    def overrun_rounds(self) -> int:
-        """Rounds that started late because the previous one overran."""
-        return sum(1 for r in self.rounds if r.lag_s > 1e-9)
-
 
 class MonitoringScheduler:
     """Runs measurement rounds periodically on the simulated clock."""

@@ -141,10 +141,6 @@ class LinkSpec:
             return self.a
         raise ValidationError(f"{side} is not an endpoint of this link")
 
-    def capacity_from(self, side: ISDAS) -> float:
-        """Capacity in Mbps for traffic leaving ``side`` over this link."""
-        return self.capacity_ab_mbps if side == self.a else self.capacity_ba_mbps
-
     def key(self) -> Tuple[str, int, str, int]:
         """A stable hashable identity for the link.
 

@@ -177,35 +177,6 @@ class Topology:
             l.a for l in self._adjacent[ia] if l.kind is LinkKind.PARENT and l.b == ia
         ]
 
-    def children_of(self, ia: "ISDAS | str") -> List[ISDAS]:
-        ia = ISDAS.parse(ia)
-        return [
-            l.b for l in self._adjacent[ia] if l.kind is LinkKind.PARENT and l.a == ia
-        ]
-
-    def core_neighbors_of(self, ia: "ISDAS | str") -> List[ISDAS]:
-        ia = ISDAS.parse(ia)
-        return [
-            l.other(ia) for l in self._adjacent[ia] if l.kind is LinkKind.CORE
-        ]
-
-    # -- export ----------------------------------------------------------------
-
-    def to_networkx(self) -> nx.MultiGraph:
-        """Undirected multigraph view (used by analysis/visualisation)."""
-        g = nx.MultiGraph()
-        for asys in self._ases.values():
-            g.add_node(
-                asys.isd_as,
-                name=asys.name,
-                role=asys.role.value,
-                country=asys.country,
-                operator=asys.operator,
-            )
-        for link in self._links:
-            g.add_edge(link.a, link.b, kind=link.kind.value, spec=link)
-        return g
-
     def __len__(self) -> int:
         return len(self._ases)
 

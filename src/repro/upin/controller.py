@@ -220,6 +220,3 @@ class PathController:
         self._flows[key] = new_rule
         return old
 
-    def withdraw(self, user: str, server_id: int) -> bool:
-        """Remove a flow rule; True if one was installed."""
-        return self._flows.pop((user, server_id), None) is not None

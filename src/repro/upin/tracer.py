@@ -10,7 +10,7 @@ what the verifier later replays against the user's intent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.docdb.database import Database
 from repro.scion.scmp import ScmpService
@@ -82,7 +82,3 @@ class PathTracer:
         self.db[TRACES_COLLECTION].insert_one(record.to_document())
         return record
 
-    def traces_for(self, user: str, server_id: int) -> List[Dict[str, Any]]:
-        return self.db[TRACES_COLLECTION].find(
-            {"user": user, "server_id": server_id}, sort=[("timestamp_ms", 1)]
-        )

@@ -41,9 +41,6 @@ class GeoPoint:
         if not (-180.0 <= self.lon <= 180.0):
             raise ValidationError(f"longitude out of range: {self.lon}")
 
-    def distance_km(self, other: "GeoPoint") -> float:
-        return haversine_km(self, other)
-
 
 def haversine_km(a: GeoPoint, b: GeoPoint) -> float:
     """Great-circle distance between two points, in kilometres."""

@@ -61,9 +61,5 @@ class RngStreams:
         self._streams[name] = gen
         return gen
 
-    def spawn(self, name: str) -> "RngStreams":
-        """Create a child stream-space rooted at ``derive_seed(root, name)``."""
-        return RngStreams(derive_seed(self.root_seed, name))
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"RngStreams(root_seed={self.root_seed}, streams={len(self._streams)})"

@@ -8,15 +8,8 @@ time is only used when no simulation clock is supplied.
 
 from __future__ import annotations
 
-import datetime as _dt
-import itertools
 import time
 from typing import Callable, Iterator, Optional
-
-
-def utc_now_iso() -> str:
-    """Current wall-clock UTC time in compact ISO-8601 (second precision)."""
-    return _dt.datetime.now(_dt.timezone.utc).strftime("%Y%m%dT%H%M%SZ")
 
 
 def epoch_ms() -> int:
@@ -46,9 +39,3 @@ class TimestampSource:
     def __iter__(self) -> Iterator[int]:
         while True:
             yield self.next()
-
-
-def counter_source(start: int = 1) -> TimestampSource:
-    """A purely logical timestamp source: 1, 2, 3, ... (for tests)."""
-    counter = itertools.count(start)
-    return TimestampSource(now_ms=lambda: next(counter))

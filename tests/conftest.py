@@ -8,6 +8,7 @@ objects instead.
 from __future__ import annotations
 
 import pytest
+from hypothesis import strategies as st
 
 from repro.docdb.client import DocDBClient
 from repro.experiments.world import run_campaign
@@ -18,6 +19,17 @@ from tests.helpers import build_tiny_world
 
 
 TEST_SEED = 424242
+
+
+@pytest.fixture(scope="session", autouse=True)
+def hypothesis_text_table():
+    """Build Hypothesis's utf-8 character table before the first test.
+
+    A fresh checkout has no cached table, and the first text strategy
+    spends ~3 s building it inside whichever property test draws text
+    first, which then fails Hypothesis's too_slow health check.
+    """
+    st.text().validate()
 
 
 @pytest.fixture(scope="session")

@@ -46,9 +46,6 @@ class TestWhiskerStats:
         assert w.whisker_high <= w.q3 + 1.5 * w.iqr + 1e-9
         assert w.whisker_low >= w.q1 - 1.5 * w.iqr - 1e-9
 
-    def test_format_compact(self):
-        assert "mean=" in whisker_stats([1, 2, 3]).format_compact()
-
 
 class TestClusterMeans:
     def test_three_layers(self):

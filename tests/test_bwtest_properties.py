@@ -28,14 +28,6 @@ class TestBwtestParamProperties:
         # Rounding to whole packets keeps the rate within one packet.
         assert implied == pytest.approx(mbps * 1e6, abs=size * 8.0 / duration + 1)
 
-    @given(durations, sizes, packet_counts)
-    def test_spec_string_reparses_equivalently(self, duration, size, packets):
-        params = parse_bwtest_params(f"{duration},{size},{packets},?")
-        again = parse_bwtest_params(params.spec_string())
-        assert again.packet_bytes == params.packet_bytes
-        assert again.duration_s == pytest.approx(params.duration_s, rel=0.01)
-        assert again.target.bps == pytest.approx(params.target.bps, rel=0.02)
-
     @given(sizes, packet_counts, st.floats(min_value=1.0, max_value=100.0,
                                            allow_nan=False))
     def test_derived_duration_consistent(self, size, packets, mbps):

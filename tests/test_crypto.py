@@ -9,12 +9,11 @@ from repro.crypto.rsa import (
     RSAKeyPair,
     RSAPublicKey,
     keypair_from_seed,
-    require_valid,
     sign,
     verify,
 )
 from repro.crypto.trc import TRC, TrustStore
-from repro.errors import CertificateError, SignatureError, ValidationError
+from repro.errors import CertificateError, ValidationError
 
 
 @pytest.fixture(scope="module")
@@ -73,10 +72,6 @@ class TestRSA:
     def test_signature_out_of_range_rejected(self, leaf_kp):
         assert not verify(leaf_kp.public, b"msg", leaf_kp.public.n + 1)
         assert not verify(leaf_kp.public, b"msg", -1)
-
-    def test_require_valid_raises(self, leaf_kp):
-        with pytest.raises(SignatureError):
-            require_valid(leaf_kp.public, b"msg", 12345)
 
     def test_keygen_deterministic_from_seed(self):
         assert keypair_from_seed(9, bits=256).public == keypair_from_seed(

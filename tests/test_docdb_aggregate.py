@@ -102,25 +102,6 @@ class TestStages:
         )
         assert [d["_id"] for d in out] == ["1_1", "1_0"]
 
-    def test_project_include_and_computed(self, coll):
-        out = coll.aggregate(
-            [
-                {"$match": {"_id": "1_0"}},
-                {"$project": {"lat": 1, "sid": "$server_id", "_id": 0}},
-            ]
-        )
-        assert out == [{"lat": 40.0, "sid": 1}]
-
-    def test_unwind(self, coll):
-        out = coll.aggregate(
-            [{"$match": {"_id": "1_0"}}, {"$unwind": "$isds"}]
-        )
-        assert [d["isds"] for d in out] == [16, 17]
-
-    def test_unwind_requires_dollar(self, coll):
-        with pytest.raises(QueryError):
-            coll.aggregate([{"$unwind": "isds"}])
-
     def test_count(self, coll):
         assert coll.aggregate([{"$count": "total"}]) == [{"total": 4}]
 

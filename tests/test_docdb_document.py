@@ -7,10 +7,8 @@ from repro.docdb.document import (
     iter_path_values,
     new_object_id,
     normalize_document,
-    set_path,
-    unset_path,
 )
-from repro.errors import QueryError, ValidationError
+from repro.errors import ValidationError
 
 
 class TestNormalize:
@@ -80,43 +78,3 @@ class TestPathResolution:
 
     def test_empty_path_returns_doc(self):
         assert get_path(self.DOC, "") == (True, self.DOC)
-
-
-class TestSetUnset:
-    def test_set_creates_intermediates(self):
-        doc = {}
-        set_path(doc, "a.b.c", 1)
-        assert doc == {"a": {"b": {"c": 1}}}
-
-    def test_set_overwrites(self):
-        doc = {"a": 1}
-        set_path(doc, "a", 2)
-        assert doc["a"] == 2
-
-    def test_set_list_index_pads(self):
-        doc = {"arr": [1]}
-        set_path(doc, "arr.3", 9)
-        assert doc["arr"] == [1, None, None, 9]
-
-    def test_set_creates_list_for_numeric_component(self):
-        doc = {}
-        set_path(doc, "a.0", "x")
-        assert doc == {"a": ["x"]}
-
-    def test_set_non_numeric_into_list_rejected(self):
-        doc = {"arr": [1, 2]}
-        with pytest.raises(QueryError):
-            set_path(doc, "arr.k", 1)
-
-    def test_unset_removes(self):
-        doc = {"a": {"b": 1, "c": 2}}
-        assert unset_path(doc, "a.b") is True
-        assert doc == {"a": {"c": 2}}
-
-    def test_unset_missing_false(self):
-        assert unset_path({"a": 1}, "zzz") is False
-
-    def test_unset_list_slot_nulls(self):
-        doc = {"arr": [1, 2, 3]}
-        assert unset_path(doc, "arr.1") is True
-        assert doc["arr"] == [1, None, 3]

@@ -252,7 +252,7 @@ class TestEpochAndCache:
         coll = Collection("t")
         coll.insert_many([{"_id": 1, "v": 1}])
         e = coll.epoch
-        coll.update_one({"_id": 1}, {"$set": {"v": 1}})  # no change
+        coll.replace_one({"_id": 1}, {"v": 1})  # no change
         assert coll.epoch == e
         assert coll.delete_many({"v": 999}).deleted_count == 0
         assert coll.epoch == e
@@ -329,14 +329,14 @@ class TestIndexManagement:
         )
         client.save_to(str(tmp_path))
         reloaded = DocDBClient.load_from(str(tmp_path))["upin"]["paths_stats"]
-        assert "server_id_1_timestamp_ms_1" in reloaded.list_indexes()
+        assert "server_id_1_timestamp_ms_1" in reloaded.index_information()
         plan = reloaded.explain({"server_id": 1, "timestamp_ms": {"$gte": 5}})
         assert plan["winningPlan"]["inputStage"]["stage"] == STAGE_IXSCAN
 
     def test_drop_index_by_spec(self):
         coll = campaign_collection()
         coll.drop_index([("server_id", 1), ("timestamp_ms", 1)])
-        assert "server_id_1_timestamp_ms_1" not in coll.list_indexes()
+        assert "server_id_1_timestamp_ms_1" not in coll.index_information()
         plan = coll.explain({"server_id": 1, "timestamp_ms": {"$gte": 0}})
         assert plan["winningPlan"]["inputStage"]["stage"] == STAGE_COLLSCAN
 

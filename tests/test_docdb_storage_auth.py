@@ -30,7 +30,7 @@ class TestJsonlStore:
         restored = DocDBClient.load_from(str(tmp_path))
         again = restored["upin"]["paths"]
         assert len(again) == 5
-        assert again.list_indexes() == ["server_id"]
+        assert sorted(again.index_information()) == ["server_id"]
         assert restored["upin"]["availableServers"].find_one({"_id": 1})["ip"] == "1.2.3.4"
 
     def test_save_is_atomic_replace(self, tmp_path):

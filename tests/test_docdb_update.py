@@ -1,11 +1,14 @@
-"""Tests for update operators (repro.docdb.update)."""
+"""Tests for whole-document replacement (``Collection.replace_one``)."""
 
-import pytest
-
-from repro.docdb.update import apply_update, is_update_document
-from repro.errors import QueryError
+from repro.docdb.collection import Collection, is_update_document
 
 BASE = {"_id": 1, "a": 1, "nested": {"x": 10}, "arr": [1, 2], "tags": ["red"]}
+
+
+def _coll() -> Collection:
+    coll = Collection("t")
+    coll.insert_one(BASE)
+    return coll
 
 
 class TestReplacement:
@@ -14,128 +17,15 @@ class TestReplacement:
         assert not is_update_document({"a": 1})
 
     def test_replacement_keeps_id(self):
-        out = apply_update(BASE, {"b": 5})
-        assert out == {"_id": 1, "b": 5}
+        coll = _coll()
+        coll.replace_one({"_id": 1}, {"b": 5})
+        assert coll.find_one({"_id": 1}) == {"_id": 1, "b": 5}
 
     def test_original_untouched(self):
-        apply_update(BASE, {"$set": {"a": 99}})
+        coll = _coll()
+        replacement = {"a": 99}
+        coll.replace_one({"_id": 1}, replacement)
+        replacement["a"] = 100
         assert BASE["a"] == 1
-
-
-class TestSetUnsetRename:
-    def test_set(self):
-        assert apply_update(BASE, {"$set": {"a": 2}})["a"] == 2
-
-    def test_set_nested_creates(self):
-        out = apply_update(BASE, {"$set": {"deep.new.field": 1}})
-        assert out["deep"]["new"]["field"] == 1
-
-    def test_unset(self):
-        out = apply_update(BASE, {"$unset": {"a": ""}})
-        assert "a" not in out
-
-    def test_rename(self):
-        out = apply_update(BASE, {"$rename": {"a": "alpha"}})
-        assert "a" not in out and out["alpha"] == 1
-
-    def test_rename_missing_noop(self):
-        out = apply_update(BASE, {"$rename": {"zzz": "y"}})
-        assert "y" not in out
-
-    def test_cannot_modify_id(self):
-        with pytest.raises(QueryError):
-            apply_update(BASE, {"$set": {"_id": 9}})
-
-    def test_current_date_uses_logical_time(self):
-        out = apply_update(BASE, {"$currentDate": {"stamp": True}}, now_ms=123)
-        assert out["stamp"] == 123
-
-
-class TestNumericOps:
-    def test_inc(self):
-        assert apply_update(BASE, {"$inc": {"a": 5}})["a"] == 6
-
-    def test_inc_negative(self):
-        assert apply_update(BASE, {"$inc": {"a": -1}})["a"] == 0
-
-    def test_inc_missing_starts_at_zero(self):
-        assert apply_update(BASE, {"$inc": {"counter": 3}})["counter"] == 3
-
-    def test_inc_non_numeric_operand_rejected(self):
-        with pytest.raises(QueryError):
-            apply_update(BASE, {"$inc": {"a": "x"}})
-
-    def test_inc_non_numeric_target_rejected(self):
-        with pytest.raises(QueryError):
-            apply_update(BASE, {"$inc": {"tags": 1}})
-
-    def test_mul(self):
-        assert apply_update(BASE, {"$mul": {"a": 4}})["a"] == 4
-
-    def test_mul_missing_is_zero(self):
-        assert apply_update(BASE, {"$mul": {"counter": 4}})["counter"] == 0
-
-    def test_min_max(self):
-        assert apply_update(BASE, {"$min": {"a": 0}})["a"] == 0
-        assert apply_update(BASE, {"$min": {"a": 5}})["a"] == 1
-        assert apply_update(BASE, {"$max": {"a": 5}})["a"] == 5
-        assert apply_update(BASE, {"$max": {"a": 0}})["a"] == 1
-
-    def test_min_missing_sets(self):
-        assert apply_update(BASE, {"$min": {"new": 7}})["new"] == 7
-
-
-class TestArrayOps:
-    def test_push(self):
-        assert apply_update(BASE, {"$push": {"arr": 3}})["arr"] == [1, 2, 3]
-
-    def test_push_each(self):
-        out = apply_update(BASE, {"$push": {"arr": {"$each": [3, 4]}}})
-        assert out["arr"] == [1, 2, 3, 4]
-
-    def test_push_creates_array(self):
-        assert apply_update(BASE, {"$push": {"new": 1}})["new"] == [1]
-
-    def test_push_to_scalar_rejected(self):
-        with pytest.raises(QueryError):
-            apply_update(BASE, {"$push": {"a": 1}})
-
-    def test_add_to_set_dedupes(self):
-        out = apply_update(BASE, {"$addToSet": {"tags": "red"}})
-        assert out["tags"] == ["red"]
-        out = apply_update(BASE, {"$addToSet": {"tags": "blue"}})
-        assert out["tags"] == ["red", "blue"]
-
-    def test_pull_value(self):
-        assert apply_update(BASE, {"$pull": {"arr": 1}})["arr"] == [2]
-
-    def test_pull_with_condition(self):
-        out = apply_update(BASE, {"$pull": {"arr": {"$gte": 2}}})
-        assert out["arr"] == [1]
-
-    def test_pull_missing_noop(self):
-        assert "zzz" not in apply_update(BASE, {"$pull": {"zzz": 1}})
-
-    def test_pop_last_and_first(self):
-        assert apply_update(BASE, {"$pop": {"arr": 1}})["arr"] == [1]
-        assert apply_update(BASE, {"$pop": {"arr": -1}})["arr"] == [2]
-
-    def test_pop_bad_operand(self):
-        with pytest.raises(QueryError):
-            apply_update(BASE, {"$pop": {"arr": 2}})
-
-
-class TestValidation:
-    def test_unknown_operator(self):
-        with pytest.raises(QueryError):
-            apply_update(BASE, {"$explode": {"a": 1}})
-
-    def test_operator_needs_document(self):
-        with pytest.raises(QueryError):
-            apply_update(BASE, {"$set": 5})
-
-    def test_multiple_operators_compose(self):
-        out = apply_update(
-            BASE, {"$set": {"b": 1}, "$inc": {"a": 1}, "$push": {"arr": 9}}
-        )
-        assert out["b"] == 1 and out["a"] == 2 and out["arr"] == [1, 2, 9]
+        assert replacement == {"a": 100}
+        assert coll.find_one({"_id": 1}) == {"_id": 1, "a": 99}

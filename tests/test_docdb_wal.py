@@ -35,7 +35,6 @@ from repro.docdb.wal import (
     WalRecord,
     WalWriter,
     encode_record,
-    iter_wal,
     list_segments,
     read_segment,
     segment_name,
@@ -46,6 +45,16 @@ from repro.suite.faults import CrashPlan, SimulatedCrash
 
 def wal_dir(base) -> str:
     return os.path.join(str(base), WAL_DIR)
+
+
+def wal_records(base):
+    """Every valid record across the WAL's segments, in LSN order."""
+    segments = list_segments(wal_dir(base))
+    return [
+        record
+        for i, (start, path) in enumerate(segments)
+        for record in read_segment(path, start, is_last=i == len(segments) - 1).records
+    ]
 
 
 def open_client(base, **kw) -> DocDBClient:
@@ -64,7 +73,7 @@ class TestRecordFormat:
         with WalWriter(wal_dir(tmp_path)) as wal:
             lsn = wal.append(OP_INSERT, "upin", "paths", {"document": {"_id": 1}})
         assert lsn == 1
-        records = list(iter_wal(wal_dir(tmp_path)))
+        records = wal_records(tmp_path)
         assert len(records) == 1
         rec = records[0]
         assert (rec.lsn, rec.op, rec.db, rec.coll) == (1, OP_INSERT, "upin", "paths")
@@ -100,7 +109,7 @@ class TestWalWriter:
                 for i in range(5)
             ]
         assert lsns == [1, 2, 3, 4, 5]
-        assert [r.lsn for r in iter_wal(wal_dir(tmp_path))] == lsns
+        assert [r.lsn for r in wal_records(tmp_path)] == lsns
 
     def test_rotation_at_segment_bytes(self, tmp_path):
         with WalWriter(wal_dir(tmp_path), segment_bytes=128) as wal:
@@ -154,11 +163,11 @@ class TestWalWriter:
         with WalWriter(wal_dir(tmp_path), segment_bytes=96) as wal:
             for i in range(6):
                 wal.append(OP_INSERT, "d", "c", {"document": {"_id": i}})
+            before = list_segments(wal_dir(tmp_path))
             # Checkpoint beyond everything: only sealed segments go.
             removed = wal.remove_segments_below(wal.last_lsn)
-            assert removed >= 1
-            remaining = list_segments(wal_dir(tmp_path))
-            assert [p for _, p in remaining] == [wal.segment_path]
+            assert removed == len(before) - 1 >= 1
+            assert list_segments(wal_dir(tmp_path)) == before[-1:]
 
     def test_gc_keeps_segments_above_checkpoint(self, tmp_path):
         with WalWriter(wal_dir(tmp_path), segment_bytes=96) as wal:
@@ -212,7 +221,7 @@ class TestCorruption:
             fh.seek(HEADER_BYTES + 2)
             fh.write(bytes([byte[0] ^ 0xFF]))
         with pytest.raises(WalCorruptionError) as err:
-            list(iter_wal(wal_dir(tmp_path)))
+            wal_records(tmp_path)
         assert err.value.lsn == 1
         assert "checksum" in str(err.value)
 
@@ -224,7 +233,7 @@ class TestCorruption:
             fh.write(encode_record(rec))
             fh.write(encode_record(rec))
         with pytest.raises(WalCorruptionError, match="discontinuity") as err:
-            list(iter_wal(wal_dir(tmp_path)))
+            wal_records(tmp_path)
         assert err.value.lsn == 2
 
     def test_repair_truncates_torn_tail(self, tmp_path):
@@ -232,9 +241,11 @@ class TestCorruption:
         clean_size = os.path.getsize(path)
         with open(path, "ab") as fh:
             fh.write(b"\x99" * 11)
-        records = list(iter_wal(wal_dir(tmp_path), repair=True))
-        assert len(records) == 2
+        client, report = RecoveryManager(str(tmp_path)).recover()
+        assert report.records_replayed == 2
+        assert report.torn_bytes_truncated == 11
         assert os.path.getsize(path) == clean_size
+        assert len(client["d"]["c"]) == 2
 
 
 # -- checkpoint pointer ------------------------------------------------------
@@ -277,14 +288,16 @@ class TestRecovery:
             coll.create_index([("server_id", 1), ("loss", -1)])
             coll.insert_many([{"_id": f"p{i}", "server_id": i % 2, "loss": i}
                               for i in range(6)])
-            coll.update_many({"server_id": 0}, {"$set": {"flagged": True}})
+            for i in (0, 2, 4):
+                coll.replace_one({"_id": f"p{i}"},
+                                 {"server_id": 0, "loss": i, "flagged": True})
             coll.delete_many({"loss": {"$gt": 4}})
         # Process "died" (close sealed the WAL); recover from disk alone.
         client2 = open_client(tmp_path)
         coll2 = client2["upin"]["paths"]
         assert len(coll2) == 5
         assert coll2.count_documents({"flagged": True}) == 3
-        assert any("server_id" in name for name in coll2.list_indexes())
+        assert any("server_id" in name for name in coll2.index_information())
         report = client2.recovery_report
         assert report.records_replayed >= 4
         assert report.torn_bytes_truncated == 0
@@ -446,7 +459,7 @@ class TestDurableClient:
             db = client["upin"]
             db["paths"].insert_one({"_id": 1})
             db["paths"].insert_many([{"_id": 2}, {"_id": 3}])
-            db["paths"].update_one({"_id": 1}, {"$set": {"v": "x"}})
+            db["paths"].replace_one({"_id": 1}, {"v": "x"})
             db["paths"].delete_one({"_id": 3})
             db["paths"].create_index("v")
             db["paths"].drop_index("v")
@@ -477,7 +490,8 @@ class TestDurableClient:
             coll.insert_one({"_id": 1})
             before = client.wal.last_lsn
             coll.delete_many({"_id": "absent"})
-            coll.update_many({"_id": "absent"}, {"$set": {"v": 1}})
+            coll.replace_one({"_id": "absent"}, {"v": 1})
+            coll.replace_one({"_id": 1}, {})
             assert client.wal.last_lsn == before
 
     def test_close_detaches_and_context_manager(self, tmp_path):

@@ -102,13 +102,6 @@ class TestFieldIndexInternals:
         assert index.ids(["a"]) == {1}
         assert index.ids(["b"]) == {1}
 
-    def test_distinct_keys_sorted_stable(self):
-        index = Index(["v"])
-        index.add({"_id": 1, "v": 2})
-        index.add({"_id": 2, "v": 1})
-        keys = index.distinct_keys()
-        assert keys == sorted(keys, key=repr)
-
 
 class TestBigNumberPrimes:
     def test_mersenne_prime_m89(self):

@@ -1,8 +1,7 @@
-"""Tests for the CSV/JSON figure-data exporters (repro.analysis.export)."""
+"""Tests for the CSV figure-data exporters (repro.analysis.export)."""
 
 import csv
 import io
-import json
 
 import pytest
 
@@ -14,9 +13,7 @@ from repro.analysis.export import (
     loss_records,
     reachability_records,
     to_csv,
-    to_json,
     write_csv,
-    write_json,
 )
 from repro.analysis.latency import latency_by_isd_group, latency_by_path
 from repro.analysis.loss import loss_by_path
@@ -74,17 +71,10 @@ class TestSerializers:
     def test_csv_empty(self):
         assert to_csv([]) == ""
 
-    def test_json_roundtrip(self):
-        parsed = json.loads(to_json(self.RECORDS))
-        assert parsed[0]["outliers"] == [1.5, 2.5]
-
     def test_file_writers(self, tmp_path):
         csv_path = tmp_path / "out.csv"
-        json_path = tmp_path / "out.json"
         write_csv(str(csv_path), self.RECORDS)
-        write_json(str(json_path), self.RECORDS)
         assert csv_path.read_text().startswith("a,b,outliers")
-        assert json.loads(json_path.read_text())[1]["a"] == 2
 
     def test_full_pipeline_to_disk(self, measured_world, tmp_path):
         records = latency_records(latency_by_path(measured_world.db, 1))

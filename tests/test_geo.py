@@ -26,9 +26,6 @@ class TestGeoPoint:
         with pytest.raises(ValidationError):
             GeoPoint(lat, lon)
 
-    def test_distance_method_matches_function(self):
-        assert ZURICH.distance_km(DUBLIN) == haversine_km(ZURICH, DUBLIN)
-
 
 class TestHaversine:
     def test_zero_distance(self):

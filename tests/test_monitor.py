@@ -147,7 +147,7 @@ class TestFlowHealthTracker:
         assert tracker.state_of(self.KEY) is FlowHealth.VIOLATED
         tracker.register(self.KEY, FlowSLO(), "p2", 3.0)
         assert tracker.state_of(self.KEY) is FlowHealth.OK
-        assert tracker.path_of(self.KEY) == "p2"
+        assert tracker.snapshot()["alice/3"]["path_id"] == "p2"
         assert tracker.snapshot()["alice/3"]["samples"] == 0
 
     def test_staleness_breach(self):
@@ -169,7 +169,6 @@ class TestFlowHealthTracker:
         tracker = FlowHealthTracker()
         with pytest.raises(ValidationError):
             tracker.state_of(("nobody", 1))
-        assert not tracker.unregister(("nobody", 1))
 
     def test_counts_by_state(self):
         tracker = self.make()
@@ -230,8 +229,6 @@ class TestRevocation:
         ]
         assert store.affected_path_ids(docs, 10.0) == {"a"}
         assert store.affected_path_ids(docs, 200.0) == set()
-        assert store.expire(200.0) == 1
-        assert len(store) == 0
 
     def test_blackhole_adds_netsim_episode(self, fresh_world_host):
         host = fresh_world_host
@@ -253,7 +250,7 @@ class TestJournal:
     def test_append_assigns_monotonic_seq(self):
         journal = fresh_journal()
         a = journal.append("revocation", 1.0, isd_as="x", interface=1)
-        b = journal.append("flow_withdrawn", 2.0, user="u", server_id=1)
+        b = journal.append("failover_failed", 2.0, user="u", server_id=1)
         assert (a["seq"], b["seq"]) == (0, 1)
         assert a["_id"] == "flowevt_00000000"
         assert len(journal) == 2
@@ -389,11 +386,8 @@ class TestFlowMonitorUnit:
         slo = monitor.watch(rule)
         assert slo.max_loss_pct == 50.0
         assert monitor.tracker.is_tracked(rule.key)
-        assert monitor.unwatch("watcher", 3)
-        assert not monitor.tracker.is_tracked(rule.key)
-        assert not monitor.unwatch("watcher", 3)
         types = [d["type"] for d in monitor.journal.events()]
-        assert types == ["flow_registered", "flow_withdrawn"]
+        assert types == ["flow_registered"]
 
     def test_probe_feeds_tracker(self, monitor_world):
         world = monitor_world
@@ -406,7 +400,6 @@ class TestFlowMonitorUnit:
         snap = monitor.tracker.snapshot()["prober/3"]
         assert snap["samples"] >= 1
         assert monitor.metrics.counter(m.MON_PROBES) == 3
-        controller.withdraw("prober", 3)
 
 
 # -- the scripted outage scenario (end-to-end) --------------------------------

@@ -292,5 +292,3 @@ class TestServerDirectory:
         assert d.health("1-0:0:1", "10.0.0.1") is ServerHealth.DOWN
         # Distinct IPs on the same AS tracked separately.
         assert d.health("1-0:0:1", "10.0.0.2") is ServerHealth.UP
-        d.reset()
-        assert d.health("1-0:0:1", "10.0.0.1") is ServerHealth.UP

@@ -2,7 +2,7 @@
 
 Strategy: generate random-but-valid documents and filters, then check
 invariants the query engine must satisfy regardless of input shape —
-complement laws, index/scan result equivalence, update idempotence.
+complement laws, index/scan result equivalence, replacement copying.
 """
 
 import copy
@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from repro.docdb.collection import Collection
 from repro.docdb.index import MAX_KEY_FANOUT
 from repro.docdb.query import matches
-from repro.docdb.update import apply_update
 
 # -- strategies ------------------------------------------------------------
 
@@ -164,44 +163,14 @@ class TestCollectionLaws:
 
 
 class TestUpdateLaws:
-    @given(flat_documents, field_names, scalars)
-    def test_set_then_read(self, doc, field, value):
-        doc = dict(doc, _id=1)
-        updated = apply_update(doc, {"$set": {field: value}})
-        assert (updated[field] == value) or (value != value)
-
-    @given(flat_documents, field_names, scalars)
-    def test_set_idempotent(self, doc, field, value):
-        doc = dict(doc, _id=1)
-        once = apply_update(doc, {"$set": {field: value}})
-        twice = apply_update(once, {"$set": {field: value}})
-        assert once == twice
-
-    @given(flat_documents, field_names)
-    def test_unset_idempotent(self, doc, field):
-        doc = dict(doc, _id=1)
-        once = apply_update(doc, {"$unset": {field: ""}})
-        twice = apply_update(once, {"$unset": {field: ""}})
-        assert once == twice
-        assert field not in once
-
-    @given(flat_documents, field_names, numbers, numbers)
-    def test_inc_composes_additively(self, doc, field, d1, d2):
-        doc = {k: v for k, v in doc.items() if not isinstance(v, (str, bool)) or k != field}
-        doc = dict(doc, _id=1)
-        doc.pop(field, None)
-        one_step = apply_update(doc, {"$inc": {field: d1 + d2}})
-        two_step = apply_update(
-            apply_update(doc, {"$inc": {field: d1}}), {"$inc": {field: d2}}
-        )
-        assert one_step[field] == two_step[field]
-
     @given(flat_documents)
     def test_update_never_mutates_input(self, doc):
-        doc = dict(doc, _id=1)
+        coll = Collection("t")
+        coll.insert_one({"_id": 1, "zz": 1})
         snapshot = copy.deepcopy(doc)
-        apply_update(doc, {"$set": {"zz": 1}, "$unset": {"a": ""}})
+        coll.replace_one({"_id": 1}, doc)
         assert doc == snapshot
+        assert coll.find_one({"_id": 1}) == dict(doc, _id=1)
 
 
 #: Per-document ``tags`` array lengths, up to twice the index's key

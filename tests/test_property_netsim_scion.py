@@ -38,7 +38,7 @@ class TestPacketProperties:
     @given(payloads, hops)
     def test_goodput_fraction_bounds(self, payload, n_hops):
         spec = PacketSpec(payload_bytes=payload, n_hops=n_hops)
-        assert 0.0 <= spec.goodput_fraction < 1.0
+        assert 0.0 <= spec.payload_bytes / spec.total_wire_bytes < 1.0
 
     @given(hops)
     def test_paper_packet_classes(self, n_hops):

@@ -41,7 +41,7 @@ def canonical(client: DocDBClient):
             docs = sorted(
                 (json.dumps(d, sort_keys=True, default=str) for d in coll.find({})),
             )
-            out[f"{db_name}.{coll_name}"] = (docs, sorted(coll.list_indexes()))
+            out[f"{db_name}.{coll_name}"] = (docs, sorted(coll.index_information()))
     return out
 
 

@@ -57,15 +57,3 @@ class TestRngStreams:
         streams.fresh("s")
         again = streams.get("s").random(4)
         assert np.allclose(first, again)
-
-    def test_spawn_child_space_differs_from_parent(self):
-        parent = RngStreams(11)
-        child = parent.spawn("worker:1")
-        assert not np.allclose(
-            parent.get("m").random(4), child.get("m").random(4)
-        )
-
-    def test_spawn_deterministic(self):
-        a = RngStreams(11).spawn("w").get("m").random(4)
-        b = RngStreams(11).spawn("w").get("m").random(4)
-        assert np.allclose(a, b)

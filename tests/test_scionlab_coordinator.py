@@ -6,7 +6,6 @@ from repro.errors import ValidationError
 from repro.scionlab.coordinator import Coordinator
 from repro.scionlab.defaults import (
     available_server_documents,
-    server_id_of,
     study_destination_ids,
 )
 from repro.scionlab.vm import render_vagrantfile
@@ -27,7 +26,7 @@ class TestTrustPlane:
         assert store.isds() == [1, 2]
 
     def test_core_keys_registered(self, coordinator):
-        trc = coordinator.trc_for(1)
+        trc = coordinator.trust_store().trc_for(1)
         assert set(trc.core_ases()) == {"1-ffaa:0:1", "1-ffaa:0:2"}
 
     def test_issue_as_certificate_verifies(self, coordinator):
@@ -37,16 +36,6 @@ class TestTrustPlane:
         cert = coordinator.issue_as_certificate("2-ffaa:0:2", kp.public)
         store = coordinator.trust_store()
         assert store.verify_certificate([cert]) == kp.public
-
-    def test_core_keypair_lookup(self, coordinator):
-        kp = coordinator.core_keypair("1-ffaa:0:1")
-        assert kp.public.n > 0
-
-    def test_core_keypair_for_non_core_raises(self, coordinator):
-        from repro.errors import TopologyError
-
-        with pytest.raises(TopologyError):
-            coordinator.core_keypair("2-ffaa:0:2")
 
 
 class TestUserASLifecycle:
@@ -70,9 +59,9 @@ class TestUserASLifecycle:
     def test_access_link_asymmetric(self, coordinator):
         topo, user = coordinator.create_user_as("1-ffaa:0:3")
         link = topo.link_between("1-ffaa:0:3", user.isd_as)[0]
-        assert link.capacity_from(user.isd_as) < link.capacity_from(
-            topo.as_of("1-ffaa:0:3").isd_as
-        )
+        # The user AS is the child end; its uplink is the slower side.
+        assert link.b == user.isd_as
+        assert link.capacity_ba_mbps < link.capacity_ab_mbps
 
     def test_unique_asns_for_multiple_users(self, coordinator):
         _t1, u1 = coordinator.create_user_as("1-ffaa:0:3")
@@ -88,11 +77,6 @@ class TestUserASLifecycle:
         coordinator = Coordinator(topo, seed=5)
         coordinator.create_user_as("1-ffaa:0:3")
         assert len(topo) == 6  # untouched; coordinator tracks the new one
-
-    def test_user_as_registry(self, coordinator):
-        _t, user = coordinator.create_user_as("1-ffaa:0:3")
-        assert coordinator.user_as(user.isd_as) is user
-        assert coordinator.list_user_ases() == [user]
 
     def test_new_world_paths_work(self, coordinator):
         """A freshly attached AS can immediately combine paths (§3.2 aha)."""
@@ -136,11 +120,3 @@ class TestDefaults:
 
     def test_study_ids_are_first_five(self):
         assert study_destination_ids() == [1, 2, 3, 4, 5]
-
-    def test_server_id_lookup(self):
-        assert server_id_of("16-ffaa:0:1002") == 1
-        assert server_id_of("16-ffaa:0:1001", ip="172.31.0.11") == 7
-
-    def test_server_id_unknown_raises(self):
-        with pytest.raises(KeyError):
-            server_id_of("9-0:0:9")

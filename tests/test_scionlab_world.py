@@ -58,8 +58,8 @@ class TestWorldShape:
 
     def test_access_link_asymmetric(self, world):
         link = world.link_between(ETHZ_AP, MY_AS)[0]
-        up = link.capacity_from(MY_AS)
-        down = link.capacity_from(ETHZ_AP)
+        assert link.b == MY_AS  # child end: its uplink is capacity_ba
+        up, down = link.capacity_ba_mbps, link.capacity_ab_mbps
         assert up < down
 
     def test_user_country_is_nl(self, world):

@@ -1,14 +1,9 @@
 """Tests for timestamp sources (repro.util.timefmt)."""
 
-import re
-
-from repro.util.timefmt import TimestampSource, counter_source, epoch_ms, utc_now_iso
+from repro.util.timefmt import TimestampSource, epoch_ms
 
 
 class TestWallClockHelpers:
-    def test_iso_format(self):
-        assert re.fullmatch(r"\d{8}T\d{6}Z", utc_now_iso())
-
     def test_epoch_ms_is_large(self):
         assert epoch_ms() > 1_600_000_000_000  # after Sep 2020
 
@@ -29,12 +24,8 @@ class TestTimestampSource:
         src = TimestampSource(now_ms=lambda: next(times))
         assert [src.next() for _ in range(4)] == [10, 11, 12, 100]
 
-    def test_counter_source(self):
-        src = counter_source()
-        assert [src.next() for _ in range(3)] == [1, 2, 3]
-
     def test_iterator_protocol(self):
-        src = counter_source(start=5)
+        src = TimestampSource(now_ms=lambda: 5)
         it = iter(src)
         assert next(it) == 5
         assert next(it) == 6

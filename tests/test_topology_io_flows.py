@@ -1,72 +1,12 @@
-"""Tests for topology serialization and concurrent-flow accounting."""
+"""Tests for concurrent-flow accounting."""
 
 import pytest
 
-from repro.errors import ParseError
 from repro.netsim.config import NetworkConfig
 from repro.netsim.network import NetworkSim
 from repro.netsim.packet import PacketSpec
-from repro.topology.io import (
-    load_topology,
-    save_topology,
-    topology_from_dict,
-    topology_to_dict,
-)
-from repro.topology.scionlab import build_scionlab_world
 
 from tests.helpers import build_tiny_world
-
-
-class TestTopologyIO:
-    def test_roundtrip_tiny_world(self):
-        topo = build_tiny_world()
-        again = topology_from_dict(topology_to_dict(topo))
-        assert len(again) == len(topo)
-        assert len(again.links()) == len(topo.links())
-        assert again.as_of("1-ffaa:0:1").name == "core1a"
-
-    def test_roundtrip_scionlab_world(self):
-        topo = build_scionlab_world()
-        again = topology_from_dict(topology_to_dict(topo))
-        assert len(again) == 36
-        # Link identity (interfaces + capacities) must survive.
-        orig = {l.key(): l for l in topo.links()}
-        back = {l.key(): l for l in again.links()}
-        assert orig.keys() == back.keys()
-        for key, link in orig.items():
-            assert back[key].capacity_ab_mbps == link.capacity_ab_mbps
-            assert back[key].kind == link.kind
-
-    def test_roundtripped_world_produces_same_paths(self):
-        from repro.scion.snet import ScionHost
-
-        topo = build_scionlab_world()
-        again = topology_from_dict(topology_to_dict(topo))
-        a = ScionHost(topo, "17-ffaa:1:e01").paths("16-ffaa:0:1002", max_paths=None)
-        b = ScionHost(again, "17-ffaa:1:e01").paths("16-ffaa:0:1002", max_paths=None)
-        assert [p.sequence() for p in a] == [p.sequence() for p in b]
-
-    def test_file_roundtrip(self, tmp_path):
-        topo = build_tiny_world()
-        path = str(tmp_path / "world.json")
-        save_topology(topo, path)
-        again = load_topology(path)
-        assert len(again) == 6
-
-    def test_bad_version_rejected(self):
-        with pytest.raises(ParseError):
-            topology_from_dict({"format_version": 99})
-
-    def test_corrupt_file_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("{oops")
-        with pytest.raises(ParseError):
-            load_topology(str(path))
-
-    def test_multiple_hosts_survive(self):
-        topo = build_scionlab_world()
-        again = topology_from_dict(topology_to_dict(topo))
-        assert len(again.as_of("16-ffaa:0:1001").hosts) == 2
 
 
 class TestFlowLedger:

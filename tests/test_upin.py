@@ -76,14 +76,6 @@ class TestPathController:
         with pytest.raises(NoPathError):
             controller.apply_intent("eve", UserRequest.make(1, exclude_isds=[16]))
 
-    def test_withdraw(self, world):
-        selector = PathSelector(world.db, world.host.topology)
-        controller = PathController(world.host, selector)
-        controller.apply_intent("alice", UserRequest.make(1))
-        assert controller.withdraw("alice", 1)
-        assert controller.active_flow("alice", 1) is None
-        assert not controller.withdraw("alice", 1)
-
 
 class TestTracerAndVerifier:
     def test_trace_stores_record(self, world):
@@ -93,7 +85,7 @@ class TestTracerAndVerifier:
         rule = controller.apply_intent("carol", UserRequest.make(3))
         record = tracer.trace_flow(rule)
         assert record.observed_hops == tuple(str(a) for a in rule.path.ases()[1:])
-        stored = tracer.traces_for("carol", 3)
+        stored = world.db[TRACES_COLLECTION].find({"user": "carol", "server_id": 3})
         assert len(stored) >= 1
 
     def test_verifier_satisfied_within_upin_domains(self, world):
@@ -198,7 +190,9 @@ class TestVerifierAfterFailover:
         rule = controller.apply_intent("judy", UserRequest.make(3))
         record = tracer.trace_flow(rule)
         assert record.path_fingerprint == rule.path.fingerprint()
-        stored = tracer.traces_for("judy", 3)[-1]
+        stored = world.db[TRACES_COLLECTION].find(
+            {"user": "judy", "server_id": 3}, sort=[("timestamp_ms", 1)]
+        )[-1]
         assert stored["path_fingerprint"] == rule.path.fingerprint()
 
     def test_old_trace_is_stale_not_violated_after_failover(self, world):

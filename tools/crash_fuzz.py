@@ -4,7 +4,7 @@
 Every round this driver:
 
 1. derives a random *workload* (insert_many batches shaped like
-   ``StatsRepository.flush``, single inserts, updates, deletes, index
+   ``StatsRepository.flush``, single inserts, replacements, deletes, index
    builds, checkpoints) and a random *crash plan* (kill -9 after the
    Nth WAL append, a torn write of the Nth record, or a crash right
    after a segment rotation) — all pure functions of ``--seed``;
@@ -69,7 +69,7 @@ def generate_ops(seed: int, n_ops: int) -> List[Dict[str, Any]]:
     for i in range(n_ops):
         coll = rng.choice(COLLECTIONS)
         kind = rng.choices(
-            ["flush", "insert", "update", "delete", "index", "checkpoint"],
+            ["flush", "insert", "replace", "delete", "index", "checkpoint"],
             weights=[5, 2, 3, 2, 1, 1],
         )[0]
         if kind == "flush":
@@ -96,18 +96,19 @@ def generate_ops(seed: int, n_ops: int) -> List[Dict[str, Any]]:
             live_ids.append(f"doc_{next_id}")
             next_id += 1
             ops.append({"kind": "insert", "coll": coll, "doc": doc})
-        elif kind == "update":
+        elif kind == "replace":
+            # Journalled as a WAL ``update`` record when it changes a
+            # document; the target may already be deleted (no record).
+            target = rng.choice(live_ids) if live_ids else "doc_0"
             ops.append(
                 {
-                    "kind": "update",
+                    "kind": "replace",
                     "coll": coll,
-                    "filter": {"server_id": rng.randint(1, 5)},
-                    "update": rng.choice(
-                        [
-                            {"$set": {"flag": rng.randint(0, 9)}},
-                            {"$inc": {"revisions": 1}},
-                        ]
-                    ),
+                    "filter": {"_id": target},
+                    "doc": {
+                        "server_id": rng.randint(1, 5),
+                        "flag": rng.randint(0, 9),
+                    },
                 }
             )
         elif kind == "delete":
@@ -145,8 +146,8 @@ def apply_op(client: DocDBClient, op: Dict[str, Any], *, durable: bool) -> None:
         coll.insert_many(op["docs"])
     elif op["kind"] == "insert":
         coll.insert_one(op["doc"])
-    elif op["kind"] == "update":
-        coll.update_many(op["filter"], op["update"])
+    elif op["kind"] == "replace":
+        coll.replace_one(op["filter"], op["doc"])
     elif op["kind"] == "delete":
         coll.delete_many(op["filter"])
     elif op["kind"] == "index":
@@ -177,7 +178,7 @@ def oracle_state(
     """State after exactly the ops whose WAL record is ≤ the commit point.
 
     Returns ``(canonical_dump, ops_applied)``.  Ops that emit no record
-    (e.g. an update matching nothing) carry no durable effect, so
+    (e.g. a replacement matching nothing) carry no durable effect, so
     including them at the boundary is state-neutral.
     """
     client = DocDBClient()

@@ -17,7 +17,7 @@ Write/epoch contract (the cache-invalidation backbone):
   queries only once per batch (§4.2.2);
 * cached ``find``/``aggregate``/``count_documents`` results remember
   the epoch they were computed under and are never served across a
-  bump.  Every mutating path bumps — inserts, updates, deletes,
+  bump.  Every mutating path bumps — inserts, replacements, deletes,
   ``create_index``/``drop_index``, bulk loads and WAL replay — so a
   cached result is always exact and needs no expiry.
 
@@ -128,7 +128,7 @@ class Collection:
         self._docs: Dict[Any, Dict[str, Any]] = {}
         self._indexes: Dict[str, Index] = {}
         self._lock = threading.RLock()
-        #: Optional hook run on every inserted/updated document; raise to
+        #: Optional hook run on every inserted or replacement document; raise to
         #: reject the write (used for signature verification).
         self.validator: Optional[Callable[[Dict[str, Any]], None]] = None
         #: Counters for the scalability benchmarks (see module docstring).

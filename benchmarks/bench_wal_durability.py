@@ -84,7 +84,7 @@ def test_fsync_policy_throughput_and_recovery():
         f"  {n_docs / t_volatile:>10.0f}  {'-':>7}"
     )
 
-    results: Dict[str, float] = {}
+    fsyncs_by_policy: Dict[str, int] = {}
     for policy in ("never", "batch", "always"):
         base = tempfile.mkdtemp(prefix=f"wal-bench-{policy}-")
         try:
@@ -92,7 +92,7 @@ def test_fsync_policy_throughput_and_recovery():
             elapsed = _write_load(client, batches)
             fsyncs = client.wal_stats()["fsyncs"]
             client.close()
-            results[policy] = elapsed
+            fsyncs_by_policy[policy] = fsyncs
             lines.append(
                 f"  {'wal/' + policy:<16}{elapsed * 1e3:>8.1f}ms"
                 f"  {n_docs / elapsed:>10.0f}  {fsyncs:>7}"
@@ -100,8 +100,10 @@ def test_fsync_policy_throughput_and_recovery():
         finally:
             shutil.rmtree(base, ignore_errors=True)
 
-    # `always` pays one fsync per record; it cannot beat `never`.
-    assert results["always"] >= results["never"]
+    # `always` pays one fsync per record and `never` none.  Asserted on
+    # the counts: one wall-clock timing per policy cannot order them.
+    assert fsyncs_by_policy["always"] == N_BATCHES
+    assert fsyncs_by_policy["never"] == 0
 
     lines += ["", "  recovery time vs un-checkpointed WAL size",
               f"  {'records':>9}  {'wal bytes':>10}  {'recovery':>10}  {'replayed':>9}"]

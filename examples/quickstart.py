@@ -31,7 +31,7 @@ def main() -> None:
     print("\n== scion ping -c 10 over the 2nd-ranked path ==")
     second_path = showpaths.paths()[1]
     report = PingApp(host).run(
-        IRELAND_ADDR, count=10, interval="0.1s", path=second_path
+        IRELAND_ADDR, count=10, interval="0.1s", sequence=second_path.sequence()
     )
     print(report.format_text())
 

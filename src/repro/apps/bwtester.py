@@ -13,10 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from repro.apps.sequence import Sequence
 from repro.errors import (
     BandwidthTestError,
-    NoPathError,
     ParseError,
     ServerErrorResponse,
     ServerUnreachableError,
@@ -148,7 +146,6 @@ class BwtestApp:
         cs: str = "3,1000,30,?",
         sc: Optional[str] = None,
         sequence: Optional[str] = None,
-        path: Optional[Path] = None,
     ) -> BwtestResult:
         """Run the two-direction bandwidth test; advances the sim clock.
 
@@ -157,13 +154,7 @@ class BwtestApp:
         the §4.1.2 failure families the test-suite must tolerate.
         """
         dst_ia, dst_ip = ISDAS.parse_address(server_address)
-        if path is None:
-            paths = self.host.paths(dst_ia, max_paths=None)
-            if sequence is not None:
-                paths = Sequence.parse(sequence).select(paths)
-            if not paths:
-                raise NoPathError(f"no usable path to {dst_ia}")
-            path = paths[0]
+        path = self.host.daemon.resolve(dst_ia, sequence)
 
         health = self.host.network.servers.health(dst_ia, dst_ip)
         if health is ServerHealth.DOWN:

@@ -101,7 +101,6 @@ def _dispatch(host: ScionHost, args: argparse.Namespace) -> str:
             interval=args.interval,
             sequence=args.sequence,
             interactive=interactive,
-            max_paths=None if args.interactive else 10,
         )
         return report.format_text()
     if args.command == "traceroute":

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence as Seq
 
-from repro.apps.sequence import Sequence
 from repro.errors import NoPathError, ServerUnreachableError
 from repro.scion.path import Path
 from repro.scion.scmp import EchoStats
@@ -62,19 +61,16 @@ class PingApp:
         count: int = 30,
         interval: str = "0.1s",
         sequence: Optional[str] = None,
-        path: Optional[Path] = None,
         interactive: Optional[Callable[[Seq[Path]], int]] = None,
         max_paths: Optional[int] = None,
     ) -> PingReport:
         """Ping ``server_address`` (``"16-ffaa:0:1002,[172.31.43.7]"``).
 
-        Path choice precedence: explicit ``path`` > ``sequence`` hop
-        predicates > ``interactive`` selector > best-ranked path.
+        Path choice precedence: ``sequence`` hop predicates >
+        ``interactive`` selector > best-ranked path.
         """
         dst_ia, dst_ip = ISDAS.parse_address(server_address)
-        chosen = path if path is not None else self._choose_path(
-            dst_ia, sequence, interactive, max_paths
-        )
+        chosen = self._choose_path(dst_ia, sequence, interactive, max_paths)
         interval_s = parse_duration(interval).seconds
         stats = self.host.scmp.echo_series(
             chosen, dst_ip, count=count, interval_s=interval_s
@@ -88,19 +84,13 @@ class PingApp:
         interactive: Optional[Callable[[Seq[Path]], int]],
         max_paths: Optional[int],
     ) -> Path:
+        if sequence is not None or interactive is None:
+            return self.host.daemon.resolve(dst_ia, sequence)
+        # ``max_paths`` bounds only the interactive menu.
         paths = self.host.paths(dst_ia, max_paths=max_paths)
         if not paths:
             raise NoPathError(f"no path to {dst_ia}")
-        if sequence is not None:
-            matching = Sequence.parse(sequence).select(paths)
-            if not matching:
-                raise NoPathError(
-                    f"no path to {dst_ia} matches sequence {sequence!r}"
-                )
-            return matching[0]
-        if interactive is not None:
-            index = interactive(paths)
-            if not (0 <= index < len(paths)):
-                raise NoPathError(f"interactive selection out of range: {index}")
-            return paths[index]
-        return paths[0]
+        index = interactive(paths)
+        if not (0 <= index < len(paths)):
+            raise NoPathError(f"interactive selection out of range: {index}")
+        return paths[index]

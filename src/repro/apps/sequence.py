@@ -6,6 +6,13 @@ a space-separated list of hop predicates ``ISD-AS#in,out`` where ``0``
 is a wildcard for an interface, the interface pair may be omitted
 (``ISD-AS`` alone), and ``0-0`` wildcards the AS itself.  A path matches
 when it has exactly one hop per predicate and every component agrees.
+
+Applications resolve a sequence through
+:meth:`repro.scion.daemon.Sciond.resolve`, against every combinable
+path.  A sequence spelled the way ``Path.sequence()`` prints it (what
+the ``paths`` collection stores) resolves by a dict lookup; wildcards
+and other spellings resolve by the :meth:`Sequence.select` scan here,
+which defines the matching semantics.
 """
 
 from __future__ import annotations

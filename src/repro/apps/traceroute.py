@@ -8,8 +8,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from repro.apps.sequence import Sequence
-from repro.errors import NoPathError
 from repro.scion.path import Path
 from repro.scion.scmp import TracerouteHop
 from repro.scion.snet import ScionHost
@@ -43,17 +41,10 @@ class TracerouteApp:
         server_address: str,
         *,
         sequence: Optional[str] = None,
-        path: Optional[Path] = None,
         probes_per_hop: int = 3,
     ) -> TracerouteReport:
         dst_ia, _dst_ip = ISDAS.parse_address(server_address)
-        if path is None:
-            paths = self.host.paths(dst_ia, max_paths=None)
-            if sequence is not None:
-                paths = Sequence.parse(sequence).select(paths)
-            if not paths:
-                raise NoPathError(f"no usable path to {dst_ia}")
-            path = paths[0]
+        path = self.host.daemon.resolve(dst_ia, sequence)
         hops = self.host.scmp.traceroute(path, probes_per_hop=probes_per_hop)
         return TracerouteReport(
             destination=server_address, path=path, hops=tuple(hops)

@@ -30,7 +30,6 @@ from repro.selection.engine import PathSelector
 from repro.selection.request import Metric, UserRequest
 from repro.suite.config import SuiteConfig
 from repro.suite.runner import TestRunner
-from repro.topology.isd_as import ISDAS
 
 IRELAND_SERVER_ID = 1
 IRELAND_ADDR = "16-ffaa:0:1002,[172.31.43.7]"
@@ -113,7 +112,6 @@ def run(
     selector = PathSelector(world.db, host.topology)
     ping = PingApp(host)
 
-    default_path = host.paths(ISDAS.parse("16-ffaa:0:1002"), max_paths=1)[0]
     request = UserRequest.make(IRELAND_SERVER_ID, Metric.LOSS)
 
     outcomes: List[RoundOutcome] = []
@@ -143,18 +141,19 @@ def run(
         # upin strategy: loss-aware selection over THIS round's samples.
         selection = selector.select(request, since_ms=round_stamp)
         if selection.best is not None:
-            upin_path = host.daemon.path_by_sequence(
-                ISDAS.parse("16-ffaa:0:1002"), selection.best.sequence
-            )
+            upin_sequence = selection.best.sequence
             upin_id = selection.best.aggregate.path_id
-        else:  # every path measured dead this round; stick with previous
-            upin_path, upin_id = default_path, "1_0"
+        else:  # every path measured dead this round; stick with the default
+            upin_sequence, upin_id = None, "1_0"
 
-        for strategy, path, path_id in (
-            ("default", default_path, "1_0"),
-            ("upin", upin_path, upin_id),
+        # ``default`` pings without --sequence (the best-ranked path).
+        for strategy, sequence, path_id in (
+            ("default", None, "1_0"),
+            ("upin", upin_sequence, upin_id),
         ):
-            stats = ping.run(IRELAND_ADDR, count=30, interval="0.1s", path=path).stats
+            stats = ping.run(
+                IRELAND_ADDR, count=30, interval="0.1s", sequence=sequence
+            ).stats
             outcomes.append(
                 RoundOutcome(
                     round_index=round_index,

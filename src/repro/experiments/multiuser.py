@@ -110,9 +110,7 @@ def _paths_for_policy(
     resolved = []
     for i in range(users):
         pick = ranked[0] if policy == "selfish" else ranked[i % len(ranked)]
-        path = world.host.daemon.path_by_sequence(dst, pick.sequence)
-        assert path is not None
-        resolved.append(path)
+        resolved.append(world.host.daemon.resolve(dst, pick.sequence))
     return resolved
 
 

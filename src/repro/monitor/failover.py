@@ -138,10 +138,11 @@ class FailoverEngine:
             {"_id": rule.server_id}
         )
         dst_ia = ISDAS.parse(str(server["isd_as"])) if server else rule.path.dst
-        new_path = self.controller.host.daemon.path_by_sequence(
-            dst_ia, selection.best.sequence
-        )
-        if new_path is None:
+        try:
+            new_path = self.controller.host.daemon.resolve(
+                dst_ia, selection.best.sequence
+            )
+        except NoPathError:
             return self._failed(
                 rule, old_path_id, cause, now_s,
                 f"replacement {selection.best.aggregate.path_id} "

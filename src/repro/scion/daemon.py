@@ -9,8 +9,9 @@ or health changes — the paper's ``--skip`` flag (§5.1) corresponds to
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
+from repro.errors import NoPathError
 from repro.scion.beaconing import Beaconer
 from repro.scion.combinator import combine_paths
 from repro.scion.path import Path
@@ -35,7 +36,7 @@ class Sciond:
         self.beaconer = beaconer or Beaconer(topology)
         self._cache: Dict[ISDAS, List[Path]] = {}
         #: Per-destination ``sequence -> Path`` index, built lazily on the
-        #: first :meth:`path_by_sequence` lookup and invalidated together
+        #: first :meth:`resolve` of a sequence and invalidated together
         #: with the path cache (``flush``/``refresh``) so it can never
         #: serve paths the cache no longer holds.
         self._seq_index: Dict[ISDAS, Dict[str, Path]] = {}
@@ -70,29 +71,41 @@ class Sciond:
             return list(cached)
         return cached[:max_paths]
 
+    def resolve(self, dst: "ISDAS | str", sequence: Optional[str] = None) -> Path:
+        """The path to ``dst`` that ``sequence`` pins, or the best-ranked one.
+
+        Every ``--sequence`` in the program resolves here, against every
+        combinable path (``max_paths`` never narrows the search).  A
+        sequence spelled the way :meth:`Path.sequence` prints it is a
+        dict lookup in a per-destination index; any other spelling and
+        any wildcard fall back to the
+        :class:`~repro.apps.sequence.Sequence` scan, the reference
+        semantics.  Both return the first match in rank order.  Raises
+        :class:`~repro.errors.NoPathError` when nothing matches.
+        """
+        dst = ISDAS.parse(dst)
+        if sequence is None:
+            best = self.paths(dst, max_paths=1)
+            if not best:
+                raise NoPathError(f"no path to {dst}")
+            return best[0]
+        index = self._seq_index.get(dst)
+        if index is None:
+            # Reversed, so the first path in rank order owns its sequence.
+            paths = reversed(self.paths(dst, max_paths=None))
+            index = self._seq_index[dst] = {p.sequence(): p for p in paths}
+        path = index.get(sequence)
+        if path is not None:
+            return path
+        from repro.apps.sequence import Sequence  # apps import this module
+
+        matching = Sequence.parse(sequence).select(self._cache[dst])
+        if not matching:
+            raise NoPathError(f"no path to {dst} matches sequence {sequence!r}")
+        return matching[0]
+
     def flush(self) -> None:
         """Drop the path cache (and segment caches)."""
         self._cache.clear()
         self._seq_index.clear()
         self.beaconer.invalidate()
-
-    def path_by_sequence(self, dst: "ISDAS | str", sequence: str) -> Optional[Path]:
-        """Find the cached path whose predicate sequence matches exactly.
-
-        O(1) after the first lookup per destination: a ``sequence →
-        Path`` dict is built once from the cached path set (instead of
-        re-rendering every path's predicate string per call — the old
-        linear scan made the campaign's per-measurement path resolution
-        O(paths × hops)).  The index is dropped whenever the underlying
-        cache recombines (``refresh=True``) or is flushed.
-        """
-        dst = ISDAS.parse(dst)
-        normalized = " ".join(sequence.split())
-        index = self._seq_index.get(dst)
-        if index is None or dst not in self._cache:
-            # paths() may recombine (first use), which pops any stale
-            # index for dst; build the fresh one afterwards.
-            paths = self.paths(dst, max_paths=None)
-            index = {p.sequence(): p for p in paths}
-            self._seq_index[dst] = index
-        return index.get(normalized)

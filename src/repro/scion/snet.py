@@ -65,7 +65,7 @@ class ScionHost:
     ) -> EchoStats:
         """Ping ``dst`` along ``path`` (default: best-ranked path)."""
         if path is None:
-            path = self.paths(dst, max_paths=1)[0]
+            path = self.daemon.resolve(dst)
         return self.scmp.echo_series(
             path, dst_ip, count=count, interval_s=interval_s
         )

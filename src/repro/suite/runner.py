@@ -29,8 +29,8 @@ from repro.errors import (
     DataLossError,
     MeasurementError,
     NoPathError,
+    ParseError,
 )
-from repro.scion.path import Path
 from repro.scion.snet import ScionHost
 from repro.suite import metrics as m
 from repro.suite.collect import PathsCollector
@@ -42,7 +42,6 @@ from repro.suite.config import (
 from repro.suite.faults import FaultPlan
 from repro.suite.retry import RetryExecutor, RetryPolicy
 from repro.suite.storage import StatsRepository, stats_document_id
-from repro.topology.isd_as import ISDAS
 from repro.util.rng import derive_seed
 from repro.util.timefmt import TimestampSource
 
@@ -127,7 +126,14 @@ class TestRunner:
             signer_subject=signer_subject,
             flush_hook=faults.flush_hook if faults is not None else None,
         )
-        self._timestamps = TimestampSource(now_ms=lambda: host.clock.now_ms)
+        # The simulated clock restarts at 0 in every process; starting
+        # above the newest stored stamp keeps ``<path>_<timestamp>`` ids
+        # unique when a campaign reruns on a persisted database.
+        latest = stats_coll.find_one(sort=[("timestamp_ms", -1)])
+        self._timestamps = TimestampSource(
+            now_ms=lambda: host.clock.now_ms,
+            start=int(latest["timestamp_ms"]) + 1 if latest else 0,
+        )
         # Backoff jitter draws come from a stream keyed off the host's
         # network seed, so the retry schedule is reproducible and the
         # host's own network streams are left untouched.
@@ -190,7 +196,9 @@ class TestRunner:
                     if not self.config.continue_on_error:
                         raise
                     continue
-                except NoPathError as exc:
+                except (NoPathError, ParseError) as exc:
+                    # The stored sequence no longer combines, or is not
+                    # a sequence at all: skip this path, keep the rest.
                     report.record_error(f"{path_doc['_id']}: {exc}")
                     continue
                 self.stats.add(doc)
@@ -225,24 +233,29 @@ class TestRunner:
     ) -> Dict[str, Any]:
         """Run the three measurements for one stored path."""
         address = str(server["address"])
-        dst_ia = ISDAS.parse(str(server["isd_as"]))
-        path = self._resolve(path_doc, dst_ia)
+        # Each measurement pins the stored path by its hop predicates,
+        # the way test_suite.sh calls ``scion ping --sequence``.
+        sequence = str(path_doc["sequence"])
 
         stats = self._with_retries(
             lambda: self.ping_app.run(
                 address,
                 count=self.config.ping_count,
                 interval=self.config.ping_interval,
-                path=path,
+                sequence=sequence,
             ).stats
         )
         bw_small = self._with_retries(
             lambda: self.bw_app.run(
-                address, cs=self.config.bw_params(self.config.bw_small_bytes), path=path
+                address,
+                cs=self.config.bw_params(self.config.bw_small_bytes),
+                sequence=sequence,
             )
         )
         bw_mtu = self._with_retries(
-            lambda: self.bw_app.run(address, cs=self.config.bw_params("MTU"), path=path)
+            lambda: self.bw_app.run(
+                address, cs=self.config.bw_params("MTU"), sequence=sequence
+            )
         )
 
         timestamp = self._timestamps.next()
@@ -266,14 +279,6 @@ class TestRunner:
             "bw_down_mtu_mbps": bw_mtu.sc.achieved.mbps,
         }
         return doc
-
-    def _resolve(self, path_doc: Dict[str, Any], dst_ia: ISDAS) -> Path:
-        path = self.host.daemon.path_by_sequence(dst_ia, str(path_doc["sequence"]))
-        if path is None:
-            raise NoPathError(
-                f"stored path {path_doc['_id']} no longer combinable to {dst_ia}"
-            )
-        return path
 
     def _with_retries(self, action):
         """Transient failures retry with deterministic exponential backoff.

@@ -40,7 +40,6 @@ from repro.scion.snet import ScionHost
 from repro.selection.engine import PathSelector, SelectionResult
 from repro.selection.request import UserRequest
 from repro.suite.config import PATHS_COLLECTION, SERVERS_COLLECTION, STATS_COLLECTION
-from repro.topology.isd_as import ISDAS
 
 
 def request_cache_key(request: UserRequest) -> Tuple[Any, ...]:
@@ -176,12 +175,7 @@ class PathController:
         )
         if server is None:
             raise NoPathError(f"unknown server id {request.server_id}")
-        dst_ia = ISDAS.parse(str(server["isd_as"]))
-        path = self.host.daemon.path_by_sequence(dst_ia, selection.best.sequence)
-        if path is None:
-            raise NoPathError(
-                f"selected path {selection.best.aggregate.path_id} is no longer available"
-            )
+        path = self.host.daemon.resolve(str(server["isd_as"]), selection.best.sequence)
         rule = FlowRule(
             user=user,
             server_id=request.server_id,

@@ -3,6 +3,9 @@
 import pytest
 
 from repro.apps.cli import build_parser, main
+from repro.scion.snet import ScionHost
+
+IRELAND = "16-ffaa:0:1002,[172.31.43.7]"
 
 
 class TestParser:
@@ -57,6 +60,18 @@ class TestMain:
             == 0
         )
         assert "Achieved bandwidth" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["ping", IRELAND, "-c", "3"], ["traceroute", IRELAND], ["bwtest", "-s", IRELAND]],
+        ids=["ping", "traceroute", "bwtest"],
+    )
+    def test_sequence_pins_a_path_ranked_past_ten(self, capsys, argv):
+        # The suite collects up to 40 paths per destination, so every
+        # command must pin one ranked below the showpaths default of 10.
+        path = ScionHost.scionlab().paths("16-ffaa:0:1002", max_paths=None)[20]
+        assert main(argv + ["--sequence", path.sequence()]) == 0
+        assert f"via {path.hops_display()}" in capsys.readouterr().out
 
     def test_error_path_returns_1(self, capsys):
         assert main(["showpaths", "99-ffaa:0:9999"]) == 1

@@ -15,7 +15,8 @@ than against a second engine:
   traceroute or showpaths probe crossed the same links before it,
 * seeded goldens for the study campaign and for one traceroute,
 * the flow ledger staying bounded under ``register_flow=True``,
-* the sciond sequence index (no recombination on repeated lookups),
+* the sciond sequence resolver (index lookups agree with the
+  ``Sequence`` scan; no recombination on repeated lookups),
 * the link sampling cache (hits + epoch invalidation),
 * NET_* counters flowing into campaign metric snapshots.
 """
@@ -28,9 +29,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps.sequence import Sequence
 from repro.apps.showpaths import ShowpathsApp
 from repro.docdb.client import DocDBClient
-from repro.errors import ValidationError
+from repro.errors import NoPathError, ValidationError
 from repro.monitor.revocation import Revocation, RevocationStore
 from repro.netsim.batch import ECHO, probe_batch, roundtrip_steps
 from repro.netsim.config import NetworkConfig
@@ -48,6 +50,7 @@ from repro.suite.runner import TestRunner
 from repro.topology.isd_as import ISDAS
 from repro.topology.scionlab import (
     MY_AS,
+    STUDY_DESTINATIONS,
     build_scionlab_world,
     scionlab_network_config,
 )
@@ -477,10 +480,31 @@ class TestFlowLedgerBounded:
         assert contended.achieved_bps < alone.achieved_bps
 
 
-# -- sciond sequence index -----------------------------------------------------
+# -- sciond sequence resolver -------------------------------------------------
 
 
 class TestSequenceIndex:
+    def test_lookup_agrees_with_scan_for_every_study_path(self):
+        host = ScionHost.scionlab(seed=7)
+        for dst in STUDY_DESTINATIONS:
+            paths = host.paths(dst, max_paths=None)
+            assert paths
+            for path in paths:
+                scanned = Sequence.parse(path.sequence()).select(paths)[0]
+                assert host.daemon.resolve(dst, path.sequence()) is scanned
+
+    def test_wildcard_returns_first_scan_match(self):
+        host = ScionHost.scionlab(seed=7)
+        paths = host.paths("16-ffaa:0:1002", max_paths=None)
+        # Pin the first two ASes of paths as long as rank 20 and
+        # wildcard every later hop.
+        first, second = paths[20].hops[:2]
+        later = ["0-0"] * (paths[20].hop_count - 2)
+        wildcard = " ".join([str(first.isd_as), f"{second.isd_as}#0,0"] + later)
+        scanned = Sequence.parse(wildcard).select(paths)
+        assert len(scanned) > 1
+        assert host.daemon.resolve("16-ffaa:0:1002", wildcard) is scanned[0]
+
     def test_repeated_lookups_do_not_recombine(self, monkeypatch):
         host = ScionHost.scionlab(seed=7)
         calls = {"n": 0}
@@ -497,29 +521,25 @@ class TestSequenceIndex:
         baseline = calls["n"]
         for path in paths:
             for _ in range(3):
-                found = host.daemon.path_by_sequence(
-                    "16-ffaa:0:1002", path.sequence()
-                )
-                assert found is not None
+                found = host.daemon.resolve("16-ffaa:0:1002", path.sequence())
                 assert found.sequence() == path.sequence()
         assert calls["n"] == baseline  # index served every lookup
 
     def test_index_invalidated_by_flush(self):
         host = ScionHost.scionlab(seed=7)
         path = host.paths("16-ffaa:0:1002", max_paths=1)[0]
-        assert host.daemon.path_by_sequence(
-            "16-ffaa:0:1002", path.sequence()
-        ) is not None
+        assert host.daemon.resolve("16-ffaa:0:1002", path.sequence()) is path
         host.daemon.flush()
         # After a flush the index rebuilds from a fresh combination and
-        # still resolves the same sequence.
-        again = host.daemon.path_by_sequence("16-ffaa:0:1002", path.sequence())
-        assert again is not None
+        # resolves the same sequence to the path of the new set.
+        again = host.daemon.resolve("16-ffaa:0:1002", path.sequence())
         assert again.sequence() == path.sequence()
+        assert again is host.paths("16-ffaa:0:1002", max_paths=1)[0]
 
-    def test_unknown_sequence_returns_none(self):
+    def test_unknown_sequence_raises(self):
         host = ScionHost.scionlab(seed=7)
-        assert host.daemon.path_by_sequence("16-ffaa:0:1002", "1-0:0:1#0,0") is None
+        with pytest.raises(NoPathError, match="matches sequence"):
+            host.daemon.resolve("16-ffaa:0:1002", "1-0:0:1#0,0")
 
 
 # -- link sampling cache -------------------------------------------------------

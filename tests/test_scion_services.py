@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.errors import ValidationError
+from repro.errors import NoPathError, ValidationError
 from repro.netsim.congestion import CongestionEpisode
 from repro.netsim.network import ServerHealth
 from repro.scion.daemon import Sciond
@@ -53,15 +53,19 @@ class TestSciond:
         daemon.paths(LEAF)
         assert daemon.cache_hits == 0
 
-    def test_path_by_sequence_roundtrip(self, host):
+    def test_resolve_roundtrip(self, host):
         daemon = Sciond(host.topology, "1-ffaa:1:1")
         want = daemon.paths(LEAF, max_paths=None)[2]
-        found = daemon.path_by_sequence(LEAF, want.sequence())
-        assert found is not None and found.sequence() == want.sequence()
+        assert daemon.resolve(LEAF, want.sequence()) is want
 
-    def test_path_by_sequence_unknown(self, host):
+    def test_resolve_unknown_raises(self, host):
         daemon = Sciond(host.topology, "1-ffaa:1:1")
-        assert daemon.path_by_sequence(LEAF, "1-0:0:1#0,0") is None
+        with pytest.raises(NoPathError):
+            daemon.resolve(LEAF, "1-0:0:1#0,0")
+
+    def test_resolve_without_sequence_is_best_ranked(self, host):
+        daemon = Sciond(host.topology, "1-ffaa:1:1")
+        assert daemon.resolve(LEAF) is daemon.paths(LEAF, max_paths=1)[0]
 
 
 class TestEcho:

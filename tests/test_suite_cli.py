@@ -1,5 +1,7 @@
 """Tests for the test-suite CLI."""
 
+import pytest
+
 from repro.docdb.client import DocDBClient
 from repro.suite.cli import build_parser, main, seed_servers
 from repro.suite.config import STATS_COLLECTION, SERVERS_COLLECTION
@@ -36,6 +38,28 @@ class TestSuiteCli:
         assert main(["1", "--some_only", "--db-dir", db_dir]) == 0
         restored = DocDBClient.load_from(db_dir)
         assert restored["upin"][STATS_COLLECTION].count_documents() == 22
+
+    @pytest.mark.parametrize("durability", ["snapshot", "batch"])
+    def test_rerun_on_persisted_db_adds_a_full_campaign(self, tmp_path, capsys, durability):
+        # The simulated clock restarts at 0 in each run, so the second
+        # run's stats ids must not collide with the first run's.
+        db_dir = str(tmp_path / "db")
+        flags = ["--db-dir", db_dir, "--durability", durability]
+
+        def stored() -> int:
+            if durability == "snapshot":
+                client = DocDBClient.load_from(db_dir)
+            else:
+                client = DocDBClient.open(db_dir)
+            count = client["upin"][STATS_COLLECTION].count_documents()
+            client.close()
+            return count
+
+        assert main(["1", "--some_only"] + flags) == 0
+        first = stored()
+        assert first == 22
+        assert main(["1", "--some_only", "--skip"] + flags) == 0
+        assert stored() == 2 * first
 
     def test_main_metrics_flag(self, capsys):
         assert main(["1", "--some_only", "--metrics"]) == 0

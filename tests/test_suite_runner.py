@@ -204,6 +204,17 @@ class TestRunnerFaultTolerance:
         # The cumulative repository counter agrees with the report.
         assert runner.stats.lost_documents == report.stats_lost
 
+    @pytest.mark.parametrize("sequence", ["1-ffaa:0:1#0,0", "not-a-sequence"])
+    def test_unresolvable_stored_path_is_skipped(self, env, sequence):
+        host, db, config = env
+        paths = db[PATHS_COLLECTION]
+        doc = paths.find_one({"path_index": 0})
+        paths.replace_one({"_id": doc["_id"]}, dict(doc, sequence=sequence))
+        report = TestRunner(host, db, config).run()
+        assert report.measurement_errors == 1
+        assert report.error_log[0].startswith(f"{doc['_id']}: ")
+        assert report.paths_tested == len(paths) - 1
+
     def test_outage_window_definition(self):
         outage = ServerOutage(1, 2, 4)
         assert not outage.active(1)

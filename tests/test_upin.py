@@ -168,10 +168,9 @@ class TestVerifierAfterFailover:
         )
         selection = controller.cached_select(reroute)
         assert selection.best is not None
-        new_path = world.host.daemon.path_by_sequence(
+        new_path = world.host.daemon.resolve(
             rule.path.dst, selection.best.sequence
         )
-        assert new_path is not None
         new_rule = FlowRule(
             user=user,
             server_id=server_id,

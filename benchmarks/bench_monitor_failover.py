@@ -7,8 +7,8 @@ Two questions the monitor must answer cheaply:
   again?  The scripted outage scenario journals it per failover.
 * **per-round overhead** — the monitor rides every scheduler round;
   its wall-clock cost must scale gracefully with the number of
-  monitored flows.  Measured at 10/100/1000 flows via the scenario's
-  ``extra_flows`` knob.
+  monitored flows.  Measured at 10/100/1000/10000 flows via the
+  scenario's ``extra_flows`` knob.
 
 Two tables come out.  ``benchmarks/output/monitor_failover.txt`` holds
 simulation figures only (the scripted failovers, and the failover and
@@ -25,7 +25,7 @@ from benchmarks.conftest import BENCH_SEED, write_figure
 from repro.monitor.scenario import run_outage_scenario
 
 ROUNDS = 8
-FLOW_COUNTS = (10, 100, 1000)
+FLOW_COUNTS = (10, 100, 1000, 10000)
 
 
 def _run_scaled(extra_flows: int):

@@ -22,11 +22,18 @@ diff-tested against this set):
 ``failover_suppressed`` a wanted failover was damped by the cooldown
 ``failover_failed``  reselection found no admissible replacement path
 ==================== =====================================================
+
+Events appended inside :meth:`FlowEventJournal.batch` (one monitor
+round, one revocation) are written together as one ``insert_many``: one
+epoch bump and, on a durable store, one atomic WAL record — the same
+all-or-nothing batch contract the suite's statistics flush uses
+(§4.2.2).  An event appended outside a batch is written at once.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from contextlib import contextmanager
+from typing import Any, Dict, Iterator, List, Optional
 
 from repro.docdb.collection import Collection
 
@@ -64,6 +71,8 @@ class FlowEventJournal:
         # Resume the sequence when attached to a pre-existing journal.
         existing = collection.find({}, sort=[("seq", -1)], limit=1)
         self._seq = int(existing[0]["seq"]) + 1 if existing else 0
+        #: Events of the open batch, not yet written; None outside one.
+        self._pending: Optional[List[Dict[str, Any]]] = None
 
     def __len__(self) -> int:
         return self.collection.count_documents()
@@ -79,7 +88,7 @@ class FlowEventJournal:
         server_id: Optional[int] = None,
         **payload: Any,
     ) -> Dict[str, Any]:
-        """Append one event; returns the stored document."""
+        """Append one event; returns the document it writes."""
         if event_type not in EVENT_TYPES:
             raise ValueError(f"unknown event type: {event_type!r}")
         doc: Dict[str, Any] = {
@@ -92,9 +101,31 @@ class FlowEventJournal:
             "server_id": server_id,
         }
         doc.update(payload)
-        self.collection.insert_one(doc)
+        if self._pending is None:
+            self.collection.insert_many([doc])
+        else:
+            self._pending.append(doc)
         self._seq += 1
         return doc
+
+    @contextmanager
+    def batch(self) -> Iterator[None]:
+        """Write the events appended inside as one ``insert_many``.
+
+        The events keep their ``seq`` order.  A nested batch joins the
+        outer one, and the batch is written even when its body raises,
+        so no appended event is lost.
+        """
+        if self._pending is not None:
+            yield
+            return
+        self._pending = []
+        try:
+            yield
+        finally:
+            pending, self._pending = self._pending, None
+            if pending:
+                self.collection.insert_many(pending)
 
     # -- query side ------------------------------------------------------------
 

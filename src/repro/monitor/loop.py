@@ -8,13 +8,20 @@ round hook.  Each pass it
    marked DEAD and force-failed-over immediately;
 2. folds every *fresh* ``paths_stats`` sample for each flow's pinned
    path into the health tracker (a per-flow cursor guarantees each
-   sample is folded exactly once);
-3. sends a lightweight targeted SCMP probe along each flow (3 echoes by
-   default — two orders of magnitude cheaper than a measurement round)
-   so a flow's health never goes stale between campaign samples;
+   sample is folded exactly once); the samples are read once per
+   pinned path and cursor, not once per flow;
+3. sends a lightweight targeted SCMP probe along each distinct pinned
+   path (3 echoes by default — two orders of magnitude cheaper than a
+   measurement round), when the pass first reaches a flow on it, and
+   feeds that one sample to every flow on the path, so a flow's health
+   never goes stale between campaign samples;
 4. hands VIOLATED flows to the :class:`~repro.monitor.failover.
    FailoverEngine`, which respects the SLO cooldown, and re-registers
    swapped flows on their new path.
+
+The pass visits flows in ``(user, server_id)`` order, and its journal
+events are written as one batch (:meth:`~repro.monitor.journal.
+FlowEventJournal.batch`).
 
 Everything runs on the shared :class:`~repro.netsim.clock.SimClock`;
 two runs with equal seeds produce byte-identical journals (pinned by
@@ -24,7 +31,7 @@ the determinism test).
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.docdb.database import Database
 from repro.monitor import journal as jn
@@ -118,16 +125,17 @@ class FlowMonitor:
             revocation, network=self.host.network if blackhole else None
         )
         self.metrics.inc(m.MON_REVOCATIONS)
-        self.journal.append(
-            jn.EVENT_REVOCATION,
-            self.clock.now_s,
-            isd_as=str(revocation.isd_as),
-            interface=revocation.interface,
-            issued_at_s=revocation.issued_at_s,
-            expires_at_s=revocation.expires_at_s,
-            reason=revocation.reason,
-        )
-        self._handle_revocations(self.clock.now_s)
+        with self.journal.batch():
+            self.journal.append(
+                jn.EVENT_REVOCATION,
+                self.clock.now_s,
+                isd_as=str(revocation.isd_as),
+                interface=revocation.interface,
+                issued_at_s=revocation.issued_at_s,
+                expires_at_s=revocation.expires_at_s,
+                reason=revocation.reason,
+            )
+            self._handle_revocations(self.clock.now_s)
 
     # -- the per-round pass ----------------------------------------------------
 
@@ -135,25 +143,32 @@ class FlowMonitor:
         """One monitoring pass; scheduler round hook (record unused)."""
         start_wall = time.perf_counter()
         now = self.clock.now_s
-        self._handle_revocations(now)
-        for rule in self.controller.flows():
-            key = rule.key
-            if not self.tracker.is_tracked(key):
-                continue
-            if self.tracker.state_of(key) is FlowHealth.DEAD:
-                # A dead flow that could not fail over yet: retry.
-                self._attempt_failover(rule, cause="path dead", force=True)
-                continue
-            if self._ingest_stats(rule):
-                continue  # failed over mid-pass; fresh path next round
-            if self.probe_count > 0:
-                self._probe(rule)
-            else:
-                transition = self.tracker.observe_staleness(key, now)
-                if transition is not None:
-                    self._journal_transition(rule, transition)
-                    if transition.to_state is FlowHealth.VIOLATED:
-                        self._attempt_failover(rule, cause="staleness")
+        # This pass's ``paths_stats`` reads, by (path_id, cursor), and
+        # probe samples, by path_id: each is shared by a path's flows.
+        stats: Dict[Tuple[str, int], List[Dict[str, Any]]] = {}
+        probes: Dict[str, HealthSample] = {}
+        with self.journal.batch():
+            self._handle_revocations(now)
+            for rule in self.controller.flows():
+                key = rule.key
+                if not self.tracker.is_tracked(key):
+                    continue
+                if self.tracker.state_of(key) is FlowHealth.DEAD:
+                    # A dead flow that could not fail over yet: retry.
+                    self._attempt_failover(rule, cause="path dead", force=True)
+                    continue
+                if self._ingest_stats(rule, stats):
+                    continue  # failed over mid-pass; fresh path next round
+                if self.probe_count > 0:
+                    if rule.path_id not in probes:
+                        probes[rule.path_id] = self._probe(rule)
+                    self._feed(rule, probes[rule.path_id])
+                else:
+                    transition = self.tracker.observe_staleness(key, now)
+                    if transition is not None:
+                        self._journal_transition(rule, transition)
+                        if transition.to_state is FlowHealth.VIOLATED:
+                            self._attempt_failover(rule, cause="staleness")
         self.rounds_observed += 1
         self.metrics.observe(
             m.MON_ROUND_WALL_S, time.perf_counter() - start_wall
@@ -187,15 +202,25 @@ class FlowMonitor:
                 force=True,
             )
 
-    def _ingest_stats(self, rule: FlowRule) -> bool:
-        """Fold fresh campaign samples; True when a failover swapped."""
+    def _ingest_stats(
+        self,
+        rule: FlowRule,
+        reads: Dict[Tuple[str, int], List[Dict[str, Any]]],
+    ) -> bool:
+        """Fold fresh campaign samples; True when a failover swapped.
+
+        ``reads`` holds the pass's query results, so flows on one path
+        with one cursor share a single ``paths_stats`` query.
+        """
         key = rule.key
         cursor = self._stats_cursor_ms.get(key, 0)
-        docs = self.db[STATS_COLLECTION].find(
-            {"path_id": rule.path_id, "timestamp_ms": {"$gte": cursor}},
-            sort=[("timestamp_ms", 1)],
-        )
-        for doc in docs:
+        read = (rule.path_id, cursor)
+        if read not in reads:
+            reads[read] = self.db[STATS_COLLECTION].find(
+                {"path_id": rule.path_id, "timestamp_ms": {"$gte": cursor}},
+                sort=[("timestamp_ms", 1)],
+            )
+        for doc in reads[read]:
             self._stats_cursor_ms[key] = int(doc["timestamp_ms"]) + 1
             sample = HealthSample(
                 t_s=float(doc["timestamp_ms"]) / 1000.0,
@@ -208,8 +233,8 @@ class FlowMonitor:
                 return True
         return False
 
-    def _probe(self, rule: FlowRule) -> bool:
-        """One targeted SCMP probe series; True when a failover swapped."""
+    def _probe(self, rule: FlowRule) -> HealthSample:
+        """One targeted SCMP probe series along the flow's pinned path."""
         _, dst_ip = ISDAS.parse_address(rule.server_address)
         stats = self.host.scmp.echo_series(
             rule.path,
@@ -218,14 +243,13 @@ class FlowMonitor:
             interval_s=self.probe_interval_s,
         )
         self.metrics.inc(m.MON_PROBES, self.probe_count)
-        sample = HealthSample(
+        return HealthSample(
             t_s=self.clock.now_s,
             loss_pct=stats.loss_pct,
             latency_ms=stats.avg_ms if stats.rtts_ms else None,
             bw_down_mbps=None,
             source="probe",
         )
-        return self._feed(rule, sample)
 
     def _feed(self, rule: FlowRule, sample: HealthSample) -> bool:
         """Fold one sample; journal it; failover on VIOLATED."""

@@ -276,6 +276,48 @@ class TestJournal:
     def test_failover_report_empty(self):
         assert "(no failovers recorded)" in fresh_journal().failover_report()
 
+    def test_batch_is_one_insert_many_in_seq_order(self, monkeypatch):
+        journal = fresh_journal()
+        journal.append("revocation", 0.5, isd_as="w", interface=9)
+        writes = []
+        real = journal.collection.insert_many
+        monkeypatch.setattr(
+            journal.collection, "insert_many",
+            lambda docs: writes.append(list(docs)) or real(docs),
+        )
+        epoch = journal.collection.epoch
+        with journal.batch():
+            a = journal.append("revocation", 1.0, isd_as="x", interface=1)
+            with journal.batch():  # a nested batch joins the outer one
+                b = journal.append("failover_failed", 2.0, user="u", server_id=1)
+            assert len(journal) == 1  # nothing written before the batch ends
+        assert [[d["seq"] for d in w] for w in writes] == [[1, 2]]
+        assert journal.collection.epoch == epoch + 1
+        assert [d["_id"] for d in journal.events()] == [
+            "flowevt_00000000", a["_id"], b["_id"],
+        ]
+
+    def test_batch_is_written_when_its_body_raises(self):
+        journal = fresh_journal()
+        with pytest.raises(RuntimeError):
+            with journal.batch():
+                journal.append("revocation", 1.0, isd_as="x", interface=1)
+                raise RuntimeError("mid-round failure")
+        assert [d["seq"] for d in journal.events()] == [0]
+
+    def test_batched_and_unbatched_events_store_alike(self):
+        plain, batched = fresh_journal(), fresh_journal()
+        events = [
+            ("revocation", 1.0, dict(isd_as="x", interface=1)),
+            ("failover_failed", 2.0, dict(user="u", server_id=1, cause="c")),
+        ]
+        for etype, t_s, payload in events:
+            plain.append(etype, t_s, **payload)
+        with batched.batch():
+            for etype, t_s, payload in events:
+                batched.append(etype, t_s, **payload)
+        assert batched.events() == plain.events()
+
     def test_format_events_empty_and_nonempty(self):
         journal = fresh_journal()
         assert "journal empty" in journal.format_events()
@@ -401,6 +443,42 @@ class TestFlowMonitorUnit:
         assert snap["samples"] >= 1
         assert monitor.metrics.counter(m.MON_PROBES) == 3
 
+    def _shared_path_monitor(self, world, prefix, flows):
+        selector = PathSelector(world.db, world.host.topology)
+        controller = PathController(world.host, selector)
+        monitor = FlowMonitor(world.host, DocDBClient()["m"], controller)
+        for i in range(flows):
+            monitor.watch(
+                controller.apply_intent(f"{prefix}-{i}", UserRequest.make(3))
+            )
+        assert len({r.path_id for r in controller.flows()}) == 1
+        return monitor
+
+    def test_one_probe_series_per_distinct_path(self, monitor_world):
+        monitor = self._shared_path_monitor(monitor_world, "shared", 5)
+        monitor.after_round()
+        assert monitor.metrics.counter(m.MON_PROBES) == 3
+        samples = monitor.journal.events(event_type="sample")
+        assert len(samples) == 5
+        assert len({(d["t_s"], d["latency_ms"]) for d in samples}) == 1
+
+    @pytest.mark.parametrize("flows", [1, 20])
+    def test_one_journal_write_per_round(self, monitor_world, monkeypatch, flows):
+        monitor = self._shared_path_monitor(monitor_world, f"batch{flows}", flows)
+        coll = monitor.journal.collection
+        calls = []
+        for name in ("insert_one", "insert_many"):
+            real = getattr(coll, name)
+            monkeypatch.setattr(
+                coll, name,
+                lambda arg, _n=name, _f=real: calls.append(_n) or _f(arg),
+            )
+        epoch = coll.epoch
+        monitor.after_round()
+        assert calls == ["insert_many"]
+        assert coll.epoch == epoch + 1
+        assert len(monitor.journal.events(event_type="sample")) == flows
+
 
 # -- the scripted outage scenario (end-to-end) --------------------------------
 
@@ -458,6 +536,43 @@ class TestOutageScenario:
 
     def test_event_types_all_known(self, scenario):
         assert {d["type"] for d in scenario.journal.events()} <= EVENT_TYPES
+
+
+@pytest.fixture(scope="module")
+def crowded_scenario():
+    """The scripted episode with 49 more flows on alice's destination."""
+    return run_outage_scenario(rounds=8, extra_flows=49)
+
+
+class TestCrowdedOutageScenario:
+    """Per-path probing keeps the episode independent of flow count."""
+
+    @staticmethod
+    def _alice_failovers(scenario):
+        return [
+            (d["t_s"], d["old_path_id"], d["new_path_id"], d["cause"])
+            for d in scenario.journal.failovers()
+            if d["user"] == "alice"
+        ]
+
+    def test_alice_sees_the_single_flow_episode(
+        self, scenario, crowded_scenario
+    ):
+        assert self._alice_failovers(crowded_scenario) == \
+            self._alice_failovers(scenario)
+        assert crowded_scenario.path_history == scenario.path_history
+        assert crowded_scenario.world.host.clock.now_s == \
+            scenario.world.host.clock.now_s
+
+    def test_every_flow_fails_over_and_ends_alive(self, crowded_scenario):
+        assert len(crowded_scenario.journal.failovers()) == 2 * 50
+        counts = crowded_scenario.monitor.tracker.counts_by_state()
+        assert counts.get("dead", 0) == 0
+
+    def test_journal_replay_matches_live_tracker(self, crowded_scenario):
+        replayed = replay_events(crowded_scenario.journal.events())
+        assert replayed.snapshot() == \
+            crowded_scenario.monitor.tracker.snapshot()
 
 
 class TestMonitorCLI:

@@ -15,10 +15,10 @@ from perfbench import workloads
 
 DIGESTS = {
     (20231112, "campaign"): "af3d24328c5a34757f2529a88e2ea905ba520e6372aaecc7bae55764906a1beb",
-    (20231112, "monitor"): "bac19eb5c43f0fa2c43192635c0b655736c82ed0c46329504f927d3b5b89b20f",
+    (20231112, "monitor"): "5c89a75b34a4819ab4b4fee6bcbcea890b35804cb181c3f5261e0de4064dd76f",
     (20231112, "intents"): "59f0c50f0eca9733a3eca5c6b053d8c7b82f4c8643b44d82fe863b30c5c688f6",
     (7, "campaign"): "af50778788c16bb56ba997f531cb75b9b255d855245a6ea4bad3c26e0a96da71",
-    (7, "monitor"): "945d3da25e1cba7310ebfd5e5c4ca216556da28bd83c248ca0453c12ad4bb383",
+    (7, "monitor"): "3a379639af15e2045b190f9a0b48dfa890a08f22ffdb32226f8dda9b8d4374fe",
     (7, "intents"): "0f9b8ed1feaa831373a13f15ac90f81a78798ad6fbe9028308222e7fabc00ee6",
 }
 

@@ -21,6 +21,16 @@ Write/epoch contract (the cache-invalidation backbone):
   ``create_index``/``drop_index``, bulk loads and WAL replay — so a
   cached result is always exact and needs no expiry.
 
+Copy contract: a document crosses the collection boundary as one copy
+each way.  Writes store the validating copy that
+:func:`~repro.docdb.document.normalize_document` builds; every public
+read (``find``, ``find_one``, ``aggregate``, ``distinct``,
+``all_documents``) copies its result once on the way out.  Internally,
+queries and the query cache pass the *stored* documents by reference.
+That is safe only because a stored document is never edited in place:
+``replace_one`` and WAL replay swap in a new dict, and deletes drop it.
+Keep it so — an in-place edit would leak into cached results.
+
 Query statistics (``Collection.stats``):
 
 ``inserts``        documents committed
@@ -256,12 +266,27 @@ class Collection:
         limit: int = 0,
         skip: int = 0,
     ) -> List[Dict[str, Any]]:
-        """Return matching documents (deep copies), optionally sorted.
+        """Return copies of the matching documents, optionally sorted.
 
         Results are served from the epoch-keyed query cache when the
         exact same ``(filter, sort, limit, skip)`` was
         answered since the last write.
         """
+        return [
+            json_deepcopy(d)
+            for d in self._find_stored(flt, sort=sort, limit=limit, skip=skip)
+        ]
+
+    def _find_stored(
+        self,
+        flt: Optional[Dict[str, Any]] = None,
+        *,
+        sort: Optional[SortSpec] = None,
+        limit: int = 0,
+        skip: int = 0,
+    ) -> List[Dict[str, Any]]:
+        """The matching *stored* documents: read-only, never returned to
+        callers uncopied.  The query cache holds these lists."""
         flt = flt or {}
         sort_key = tuple((f, d) for f, d in sort) if sort else None
         cache_key = freeze(("find", flt, sort_key, limit, skip))
@@ -271,21 +296,18 @@ class Collection:
                 cached = self.cache.get(cache_key, epoch)
                 if cached is not None:
                     self.stats["cache_hits"] += 1
-                    return json_deepcopy(cached)
+                    return cached
                 self.stats["cache_misses"] += 1
-            matched = self._execute_filter(flt)
-            out = [json_deepcopy(d) for d in matched]
-        if sort:
-            out = _sorted_docs(out, sort)
-        if skip:
-            out = out[skip:]
-        if limit:
-            out = out[:limit]
-        if cache_key is not None:
-            with self._lock:
+            out = self._execute_filter(flt)
+            if sort:
+                out = _sorted_docs(out, sort)
+            if skip:
+                out = out[skip:]
+            if limit:
+                out = out[:limit]
+            if cache_key is not None:
                 self.cache.put(cache_key, epoch, out)
-            return json_deepcopy(out)
-        return out
+            return out
 
     def find_one(
         self,
@@ -316,7 +338,7 @@ class Collection:
 
     def distinct(self, field_path: str, flt: Optional[Dict[str, Any]] = None) -> List[Any]:
         seen: List[Any] = []
-        for doc in self.find(flt):
+        for doc in self._find_stored(flt):
             found, value = get_path(doc, field_path)
             if not found:
                 continue
@@ -324,7 +346,7 @@ class Collection:
             for v in values:
                 if v not in seen:
                     seen.append(v)
-        return seen
+        return json_deepcopy(seen)
 
     # -- planner ---------------------------------------------------------------------
 
@@ -393,18 +415,18 @@ class Collection:
     def replace_one(
         self, flt: Dict[str, Any], replacement: Dict[str, Any], *, upsert: bool = False
     ) -> UpdateResult:
-        """Replace the first document matching ``flt`` with a copy of
-        ``replacement`` that keeps the stored ``_id``.
+        """Replace the first document matching ``flt`` with a validated
+        copy of ``replacement`` that keeps the stored ``_id``.
 
         With ``upsert`` and no match, the filter's plain equality fields
         plus ``replacement`` are inserted instead.  Replacing a document
         with an equal one is a no-op: no WAL record, no epoch bump.
         """
-        if is_update_document(replacement):
+        new_doc = normalize_document(replacement, ensure_id=False)
+        if is_update_document(new_doc):
             raise QueryError("replacement document cannot contain operators")
         with self._lock:
             for doc in self._execute_filter(flt):
-                new_doc = copy.deepcopy(replacement)
                 new_doc["_id"] = doc["_id"]
                 if new_doc == doc:
                     return UpdateResult(1, 0)
@@ -422,7 +444,7 @@ class Collection:
                     for k, v in flt.items()
                     if not k.startswith("$") and not isinstance(v, dict)
                 }
-                stored = self._insert({**seed, **replacement})
+                stored = self._insert({**seed, **new_doc})
                 self._bump_epoch()
                 return UpdateResult(0, 0, upserted_id=stored["_id"])
             return UpdateResult(0, 0)
@@ -551,8 +573,9 @@ class Collection:
     def aggregate(self, pipeline: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
         """Run an aggregation pipeline.
 
-        A leading ``$match`` stage is pushed down into :meth:`find` so
-        it can use an index instead of scanning the collection — this is
+        A leading ``$match`` stage is pushed down into the query planner
+        (the stored-document read behind :meth:`find`) so it can use an
+        index instead of scanning the collection — this is
         what keeps the best-path selection query (``$match`` on
         ``server_id`` over ``paths_stats``) off the full-scan path.
         Results are cached like ``find`` (a pipeline holding a value
@@ -569,14 +592,14 @@ class Collection:
                     self.stats["cache_hits"] += 1
                     return json_deepcopy(cached)
                 self.stats["cache_misses"] += 1
-        match, rest = split_leading_match(pipeline)
-        docs = self.find(match)
-        out = run_pipeline(docs, rest)
-        if cache_key is not None:
-            with self._lock:
+            match, rest = split_leading_match(pipeline)
+            # The stages build new lists and group documents but never
+            # edit their inputs, so they run over the stored documents;
+            # the result may share their values until the copy below.
+            out = run_pipeline(self._find_stored(match), rest)
+            if cache_key is not None:
                 self.cache.put(cache_key, epoch, out)
-            return json_deepcopy(out)
-        return out
+        return json_deepcopy(out)
 
     # -- misc -------------------------------------------------------------------------------------------
 

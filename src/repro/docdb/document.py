@@ -8,14 +8,18 @@ measurement of it, §4.2.1), so ids here are any hashable scalar.
 
 from __future__ import annotations
 
-import copy
-import itertools
 import secrets
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Tuple
 
 from repro.errors import ValidationError
 
 _JSON_SCALARS = (str, int, float, bool, type(None))
+#: Exact scalar types; a leaf of one of these is accepted by ``type()``
+#: alone.  Subclasses (``IntEnum``, numpy floats) take the
+#: ``isinstance`` check.
+_SCALAR_TYPES = frozenset(_JSON_SCALARS)
+#: Deepest accepted nesting level (the top-level document is level 0).
+_MAX_DEPTH = 64
 
 
 def new_object_id() -> str:
@@ -26,17 +30,22 @@ def new_object_id() -> str:
 def normalize_document(
     doc: Dict[str, Any], *, ensure_id: bool = True, deep_copy: bool = True
 ) -> Dict[str, Any]:
-    """Deep-copy and validate a document; assign an ``_id`` if missing.
+    """Validate a document and build its stored copy in one walk;
+    assign an ``_id`` if missing.
 
-    ``deep_copy=False`` skips the defensive copy for callers that
-    provably own the dict — the recovery loaders pass documents fresh
-    out of ``json.loads`` (snapshot lines, WAL payloads), where copying
-    them again roughly triples recovery time.  Validation always runs.
+    The copy is built by the same recursive walk that validates, so a
+    stored document costs one pass over the input: dicts with string
+    keys, lists, tuples and JSON scalars at most 64 levels deep, and
+    anything else raises :class:`~repro.errors.ValidationError` at the
+    first offending value in document order.  ``deep_copy=False`` only
+    validates, for callers that provably own the dict — the recovery
+    loaders pass documents fresh out of ``json.loads`` (snapshot lines,
+    WAL payloads), where copying them again roughly triples recovery
+    time.
     """
     if not isinstance(doc, dict):
         raise ValidationError(f"document must be a dict, got {type(doc).__name__}")
-    _check_value(doc, depth=0)
-    out = json_deepcopy(doc) if deep_copy else doc
+    out = _checked_copy(doc, 0, build=deep_copy)
     if ensure_id and "_id" not in out:
         out["_id"] = new_object_id()
     return out
@@ -46,12 +55,12 @@ def json_deepcopy(value: Any) -> Any:
     """Deep copy for JSON-shaped values, far cheaper than ``copy.deepcopy``.
 
     Validated documents only ever contain dicts with string keys, lists,
-    tuples and immutable scalars (:func:`_check_value` enforces this on
-    the way in, and rejects cyclic structures via its depth limit), so
-    the generic deepcopy machinery — memo dict, reductor dispatch — is
-    pure overhead on the storage hot path.  Semantics match
-    ``copy.deepcopy`` for that value domain: containers are rebuilt,
-    immutable scalars returned as-is.
+    tuples and immutable scalars (:func:`normalize_document` enforces
+    this on the way in, and rejects cyclic structures via its depth
+    limit), so the generic deepcopy machinery — memo dict, reductor
+    dispatch — is pure overhead on the storage hot path.  Semantics
+    match ``copy.deepcopy`` for that value domain: containers are
+    rebuilt, immutable scalars returned as-is.
     """
     if isinstance(value, dict):
         return {k: json_deepcopy(v) for k, v in value.items()}
@@ -62,21 +71,43 @@ def json_deepcopy(value: Any) -> Any:
     return value
 
 
-def _check_value(value: Any, depth: int) -> None:
-    if depth > 64:
+
+def _checked_copy(value: Any, depth: int, build: bool = True) -> Any:
+    """Validate ``value`` at nesting ``depth``; return its copy when
+    ``build``, else ``value`` itself.
+
+    A container accepts its leaves of an exact scalar type inline, by
+    ``type()`` alone and without a call, while they sit within the
+    depth limit; every other value recurses.
+    """
+    if depth > _MAX_DEPTH:
         raise ValidationError("document nesting too deep")
+    inline = depth < _MAX_DEPTH
     if isinstance(value, dict):
+        out = {}
         for key, sub in value.items():
             if not isinstance(key, str):
                 raise ValidationError(f"document keys must be strings: {key!r}")
-            _check_value(sub, depth + 1)
-    elif isinstance(value, (list, tuple)):
+            if not (inline and type(sub) in _SCALAR_TYPES):
+                sub = _checked_copy(sub, depth + 1, build)
+            if build:
+                out[key] = sub
+        return out if build else value
+    if isinstance(value, (list, tuple)):
+        items = []
         for sub in value:
-            _check_value(sub, depth + 1)
-    elif not isinstance(value, _JSON_SCALARS):
+            if not (inline and type(sub) in _SCALAR_TYPES):
+                sub = _checked_copy(sub, depth + 1, build)
+            if build:
+                items.append(sub)
+        if not build:
+            return value
+        return items if isinstance(value, list) else tuple(items)
+    if not isinstance(value, _JSON_SCALARS):
         raise ValidationError(
             f"unsupported value type in document: {type(value).__name__}"
         )
+    return value
 
 
 # ---------------------------------------------------------------------------

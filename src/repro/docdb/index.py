@@ -55,6 +55,11 @@ MAX_KEY_FANOUT = 64
 
 def _index_key(value: Any) -> Any:
     """Normalize a value into a hashable index key (``("z",)`` for missing)."""
+    kind = type(value)
+    if kind is str:
+        return ("s", value)
+    if kind is int or kind is float:
+        return ("n", float(value))
     if isinstance(value, bool):
         return ("b", value)
     if isinstance(value, Number):
@@ -68,9 +73,18 @@ def _index_key(value: Any) -> Any:
 
 
 def _field_keys(doc: Dict[str, Any], field: str) -> List[Any]:
-    """All index keys one document contributes for one field path."""
+    """All index keys one document contributes for one field path.
+
+    A non-empty undotted field is one dict lookup; a dotted path takes
+    the generic walk with array fan-out.
+    """
+    if field and "." not in field:
+        value = doc.get(field, _MISSING)
+        values = () if value is _MISSING else (value,)
+    else:
+        values = iter_path_values(doc, field)
     keys: List[Any] = []
-    for v in iter_path_values(doc, field):
+    for v in values:
         if isinstance(v, list):
             keys.extend(_index_key(e) for e in v)
         else:

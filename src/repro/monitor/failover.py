@@ -17,7 +17,7 @@ ones, is journaled with cause and detection→recovery latency.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Optional
+from typing import Any, Dict, FrozenSet, Optional, Tuple
 
 from repro.errors import NoPathError
 from repro.monitor import journal as jn
@@ -68,6 +68,9 @@ class FailoverEngine:
         self.journal = journal
         self.metrics = metrics if metrics is not None else m.MetricsRegistry()
         self._last_failover_s: Dict[FlowKey, float] = {}
+        #: server_id -> (stamp, revoked path ids): the last answer of
+        #: :meth:`_revoked_path_ids`, valid while its stamp holds.
+        self._revoked: Dict[int, Tuple[Tuple[Any, ...], FrozenSet[str]]] = {}
 
     # -- cooldown --------------------------------------------------------------
 
@@ -191,13 +194,33 @@ class FailoverEngine:
         self, rule: FlowRule, old_path_id: str, now_s: float
     ) -> frozenset:
         """Failed path + everything crossing an active revocation."""
-        excluded = {old_path_id}
-        if len(self.revocations):
-            path_docs = self.controller.selector.db[PATHS_COLLECTION].find(
-                {"server_id": rule.server_id}
+        return frozenset({old_path_id}) | self._revoked_path_ids(
+            rule.server_id, now_s
+        )
+
+    def _revoked_path_ids(self, server_id: int, now_s: float) -> FrozenSet[str]:
+        """The destination's stored paths that cross an active revocation.
+
+        A pure function of the ``paths`` collection and the revocations
+        in force, so it is memoised per destination under the
+        collection (a dropped and re-created one restarts its epoch),
+        its write epoch and the active revocations: the flows that fail
+        over in one revocation round share one read.
+        """
+        active = tuple(self.revocations.active(now_s))
+        if not active:
+            return frozenset()
+        paths = self.controller.selector.db[PATHS_COLLECTION]
+        stamp = (paths, paths.epoch, active)
+        memo = self._revoked.get(server_id)
+        if memo is None or memo[0] != stamp:
+            revoked = frozenset(
+                self.revocations.affected_path_ids(
+                    paths.find({"server_id": server_id}), now_s
+                )
             )
-            excluded |= self.revocations.affected_path_ids(path_docs, now_s)
-        return frozenset(excluded)
+            memo = self._revoked[server_id] = (stamp, revoked)
+        return memo[1]
 
     def _failed(
         self,

@@ -28,6 +28,12 @@ round, one revocation) are written together as one ``insert_many``: one
 epoch bump and, on a durable store, one atomic WAL record — the same
 all-or-nothing batch contract the suite's statistics flush uses
 (§4.2.2).  An event appended outside a batch is written at once.
+
+The journal creates no secondary index: a round only appends, and its
+readers (``events``, the failover report) run once, at report time,
+where a scan costs less than keeping an index up to date on every
+append.  A store written while the journal still created its ``type``
+and ``(user, server_id)`` indexes reopens with them kept.
 """
 
 from __future__ import annotations
@@ -66,8 +72,6 @@ class FlowEventJournal:
 
     def __init__(self, collection: Collection) -> None:
         self.collection = collection
-        collection.create_index("type")
-        collection.create_index([("user", 1), ("server_id", 1)])
         # Resume the sequence when attached to a pre-existing journal.
         existing = collection.find({}, sort=[("seq", -1)], limit=1)
         self._seq = int(existing[0]["seq"]) + 1 if existing else 0

@@ -11,17 +11,31 @@ from repro.experiments.world import run_campaign, seconds_per_path
 from repro.suite.config import SuiteConfig
 
 SEED = 20231112
+#: Further seeds every figure's shape must hold at.  Each figure class
+#: below runs at its ``seed`` attribute; a subclass per extra seed is
+#: generated at the end of the module.
+EXTRA_SEEDS = (7, 42)
 
 
 @pytest.fixture(scope="module")
 def ireland_world():
-    return run_campaign([1], iterations=4, seed=SEED)
+    """Seed -> the Ireland campaign world, built once per seed."""
+    worlds = {}
+
+    def world(seed):
+        if seed not in worlds:
+            worlds[seed] = run_campaign([1], iterations=4, seed=seed)
+        return worlds[seed]
+
+    return world
 
 
 class TestFig4:
+    seed = SEED
+
     @pytest.fixture(scope="class")
-    def result(self):
-        return fig4.run(seed=SEED)
+    def result(self, request):
+        return fig4.run(seed=request.cls.seed)
 
     def test_21_destinations_reachable(self, result):
         assert result.reachability.reachable == 21
@@ -42,9 +56,11 @@ class TestFig4:
 
 
 class TestFig5:
+    seed = SEED
+
     @pytest.fixture(scope="class")
-    def result(self, ireland_world):
-        return fig5.run(world=ireland_world)
+    def result(self, request, ireland_world):
+        return fig5.run(world=ireland_world(request.cls.seed))
 
     def test_paths_split_into_6_and_7_hops(self, result):
         hop_counts = {s.hop_count for s in result.series}
@@ -88,9 +104,11 @@ class TestFig5:
 
 
 class TestFig6:
+    seed = SEED
+
     @pytest.fixture(scope="class")
-    def result(self, ireland_world):
-        return fig6.run(world=ireland_world)
+    def result(self, request, ireland_world):
+        return fig6.run(world=ireland_world(request.cls.seed))
 
     def test_multiple_isd_sets(self, result):
         sets = {g.isds for g in result.all_groups}
@@ -127,13 +145,15 @@ class TestFig6:
 
 
 class TestFig7And8:
-    @pytest.fixture(scope="class")
-    def r7(self):
-        return fig7.run(iterations=4, seed=SEED)
+    seed = SEED
 
     @pytest.fixture(scope="class")
-    def r8(self):
-        return fig8.run(iterations=4, seed=SEED)
+    def r7(self, request):
+        return fig7.run(iterations=4, seed=request.cls.seed)
+
+    @pytest.fixture(scope="class")
+    def r8(self, request):
+        return fig8.run(iterations=4, seed=request.cls.seed)
 
     def test_fig7_mtu_beats_small(self, r7):
         assert r7.summary.mtu_beats_small
@@ -167,9 +187,11 @@ class TestFig7And8:
 
 
 class TestFig9:
+    seed = SEED
+
     @pytest.fixture(scope="class")
-    def result(self):
-        return fig9.run(iterations=3, seed=SEED)
+    def result(self, request):
+        return fig9.run(iterations=3, seed=request.cls.seed)
 
     def test_exact_failing_cluster(self, result):
         assert result.total_loss_paths == fig9.PAPER_FAILING_PATHS
@@ -215,3 +237,9 @@ class TestWorldHelpers:
         lat_a = [d["avg_latency_ms"] for d in a.db["paths_stats"].find()]
         lat_b = [d["avg_latency_ms"] for d in b.db["paths_stats"].find()]
         assert lat_a != lat_b
+
+
+for _seed in EXTRA_SEEDS:
+    for _figure in (TestFig4, TestFig5, TestFig6, TestFig7And8, TestFig9):
+        _name = f"{_figure.__name__}Seed{_seed}"
+        globals()[_name] = type(_name, (_figure,), {"seed": _seed})

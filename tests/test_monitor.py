@@ -1,5 +1,6 @@
 """Unit and integration tests for the flow-health monitor subsystem."""
 
+import hashlib
 import json
 
 import pytest
@@ -480,6 +481,34 @@ class TestFlowMonitorUnit:
         assert len(monitor.journal.events(event_type="sample")) == flows
 
 
+    def test_revocation_round_reads_the_paths_once(
+        self, monitor_world, monkeypatch
+    ):
+        monitor = self._shared_path_monitor(monitor_world, "revoked", 50)
+        # The destination-side ingress: other paths avoid it.
+        hop = next(iter(monitor.controller.flows())).path.hops[-2]
+        paths = monitor_world.db["paths"]
+        every_path = paths.find({"server_id": 3})
+        reads = []
+        real_find = paths.find
+        monkeypatch.setattr(
+            paths, "find",
+            lambda flt=None, **kw: reads.append((flt, kw)) or real_find(flt, **kw),
+        )
+        now = monitor.clock.now_s
+        revocation = Revocation(hop.isd_as, hop.ingress, now, now + 600.0)
+        monitor.revoke(revocation, blackhole=False)
+        # One exclusion read for the 50 flows (the reselection's own
+        # reads are sorted or by ``_id``).
+        assert reads.count(({"server_id": 3}, {})) == 1
+        failovers = monitor.journal.failovers()
+        assert len(failovers) == 50
+        # The memo returns what a fresh read returns, for every flow.
+        revoked = monitor.revocations.affected_path_ids(every_path, now)
+        for doc in failovers:
+            assert doc["excluded_paths"] == sorted(revoked | {doc["old_path_id"]})
+
+
 # -- the scripted outage scenario (end-to-end) --------------------------------
 
 
@@ -599,3 +628,56 @@ class TestMonitorCLI:
         assert main(["monitor", "events", "--limit", "5"]) == 0
         out = capsys.readouterr().out
         assert out.count("#0") == 5
+
+
+#: sha256 of ``upin-frontend monitor events`` and ``failover-report``
+#: for the default scenario, as printed while the journal still created
+#: its ``type`` and ``(user, server_id)`` indexes.
+JOURNAL_OUTPUT_SHA256 = {
+    "events": "38e910e12b23e22df7f74d1bea30181b3a1cfb7d5b8c3dcf6cb785ed69348020",
+    "failover-report": "316d91f1dee8b19892a5fd43a14daded2daef3b2f9086855fb16ae0493f93d26",
+}
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestJournalWithoutIndexes:
+    @pytest.mark.parametrize("action", sorted(JOURNAL_OUTPUT_SHA256))
+    def test_cli_output_unchanged(self, capsys, action):
+        from repro.upin.cli import main
+
+        assert main(["monitor", action]) == 0
+        assert _sha256(capsys.readouterr().out) == JOURNAL_OUTPUT_SHA256[action]
+
+    def test_journal_creates_no_index(self):
+        assert fresh_journal().collection.index_information() == {}
+
+    def test_store_with_the_old_indexes_reopens_with_them(
+        self, scenario, tmp_path
+    ):
+        client = DocDBClient.open(str(tmp_path), fsync="never")
+        old = client["monitor"]["flow_events"]
+        old.create_index("type")
+        old.create_index([("user", 1), ("server_id", 1)])
+        old.insert_many(scenario.journal.events())
+        client.close()
+
+        client = DocDBClient.open(str(tmp_path), fsync="never")
+        journal = FlowEventJournal(client["monitor"]["flow_events"])
+        assert set(journal.collection.index_information()) == {
+            "type", "user_1_server_id_1",
+        }
+        outputs = {
+            "events": journal.format_events(),
+            "failover-report": journal.failover_report(),
+        }
+        for action, text in outputs.items():
+            assert _sha256(text + "\n") == JOURNAL_OUTPUT_SHA256[action]
+        # The kept indexes stay exact as the journal grows.
+        journal.append("failover_failed", 2000.0, user="alice", server_id=3)
+        assert journal.events(event_type="failover_failed", user="alice") == [
+            d for d in journal.events() if d["type"] == "failover_failed"
+        ]
+        client.close()

@@ -2,8 +2,8 @@
 
 Written to ``benchmarks/output/netsim_fastpath.txt``:
 
-1. **Per call** — over chain paths of 1/3/7 links (2/4/8 ASes): wall
-   time of one 30-probe echo series
+1. **Per call** — over chain paths of 1/3/7 links (2/4/8 ASes), each
+   resolved once into a route: wall time of one 30-probe echo series
    (:meth:`~repro.netsim.network.NetworkSim.probe_batch`), of one
    traceroute at 3 probes per hop
    (:meth:`~repro.scion.scmp.ScmpService.traceroute`, one depth-laned
@@ -27,7 +27,7 @@ from benchmarks.conftest import BENCH_SEED, write_figure
 from repro.docdb.client import DocDBClient
 from repro.netsim.batch import TRACEROUTE
 from repro.netsim.config import NetworkConfig
-from repro.netsim.network import LinkTraversal, NetworkSim
+from repro.netsim.network import LinkTraversal, NetworkSim, Route
 from repro.netsim.packet import PacketSpec
 from repro.scion.snet import ScionHost
 from repro.scionlab.defaults import study_destination_ids
@@ -81,17 +81,19 @@ def _best_of(run: Callable[[], float]) -> float:
 def _per_call_row(n_links: int) -> Tuple[float, float, float]:
     """(µs per echo series, µs per traceroute, long-series pkt/s).
 
-    Each timing gets its own seeded network, and calls step through
-    simulated time the way a campaign does.
+    Each timing gets its own seeded network, whose route for the chain
+    is resolved once, as :meth:`repro.scion.path.Path.route` does for
+    the apps, and calls step through simulated time the way a campaign
+    does.
     """
     topology = _chain_world(n_links)
     packet = PacketSpec(payload_bytes=16, n_hops=n_links + 1, n_segments=2)
     depths = np.repeat(np.arange(1, n_links + 1), PROBES_PER_HOP)
 
-    def timed(body: Callable[[NetworkSim, List[LinkTraversal], int], None], n: int):
+    def timed(body: Callable[[NetworkSim, Route, int], None], n: int):
         def run() -> float:
             net = NetworkSim(topology, NetworkConfig(seed=BENCH_SEED))
-            steps = _chain_traversals(topology, n_links)
+            steps = net.route(_chain_traversals(topology, n_links))
             start = time.perf_counter()
             for i in range(n):
                 body(net, steps, i)

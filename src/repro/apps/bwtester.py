@@ -166,9 +166,9 @@ class BwtestApp:
         cs_params = parse_bwtest_params(cs, mtu=mtu)
         sc_params = parse_bwtest_params(sc, mtu=mtu) if sc is not None else cs_params
 
-        forward = path.traversals(self.host.topology)
-        backward = [t.reversed() for t in reversed(forward)]
         network = self.host.network
+        forward = path.route(network)
+        backward = forward.reversed()
 
         cs_result = network.fluid_transfer(
             forward,

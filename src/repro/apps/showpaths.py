@@ -137,8 +137,8 @@ class ShowpathsApp:
             n_segments=path.n_segments,
             underlay_mtu=self.host.network.config.underlay_mtu,
         )
-        traversals = path.traversals(self.host.topology)
-        series = self.host.network.probe_depths(
-            traversals, packet, [len(traversals)], purpose=SHOWPATHS
+        network = self.host.network
+        series = network.probe_depths(
+            path.route(network), packet, [path.n_links], purpose=SHOWPATHS
         )
         return "timeout" if series.received == 0 else "alive"

@@ -133,16 +133,14 @@ def run(
             t0 = world.host.clock.now_s
             achieved: List[float] = []
             for path in paths:
-                traversals = [
-                    t.reversed() for t in reversed(path.traversals(world.host.topology))
-                ]  # downstream: server -> user
+                downstream = path.route(network).reversed()  # server -> user
                 packet = PacketSpec(
                     payload_bytes=1472,
                     n_hops=path.hop_count,
                     n_segments=path.n_segments,
                 )
                 result = network.fluid_transfer(
-                    traversals,
+                    downstream,
                     TARGET_MBPS * 1e6,
                     packet,
                     DURATION_S,

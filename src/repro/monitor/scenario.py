@@ -181,11 +181,12 @@ def run_outage_scenario(
     monitor = FlowMonitor(
         host, db, frontend.controller, probe_count=probe_count
     )
-    monitor.watch(rule)
-    for i in range(extra_flows):
-        monitor.watch(
-            frontend.controller.apply_intent(f"flow-{i:03d}", request)
-        )
+    with monitor.journal.batch():  # every registration in one write
+        monitor.watch(rule)
+        for i in range(extra_flows):
+            monitor.watch(
+                frontend.controller.apply_intent(f"flow-{i:03d}", request)
+            )
 
     scenario = OutageScenario(
         world=world,

@@ -1,53 +1,47 @@
-"""The data-plane engine: batched SCMP round trips in O(links) numpy ops.
+"""The data-plane engine: every round-trip probe as one steps × lanes matrix.
 
 The paper's test-suite is measurement-bound: every campaign iteration
 runs ``scion ping -c 30 --interval 0.1s`` plus four bwtest transfers
-over every retained path to 21 destinations (§3.3, §5.3), and UPIN's
-Path Tracer runs a traceroute on every installed flow (§2.1).  Every
-round-trip probe — echo series, traceroute, showpaths status — is
-computed here, one numpy vector per link and direction:
-
-* per-link static terms (propagation, serialization) are computed once;
-* cross-traffic utilization is gathered through
-  :meth:`~repro.netsim.procs.UtilizationProcess.values_at` (vectorized
-  over the shared AR(1) grid cache, so every reader sees the exact same
-  process values);
-* per-link jitter is one ``normal(size=n)`` vector and the drop
-  decision one vectorized Bernoulli per link/direction;
-* cumulative delays propagate by running vector sums, and a packet
-  dropped at link *k* keeps its lane (each step's draws are fixed-size
-  vectors), so its downstream draws never perturb another packet's
-  samples.
+over every retained path (§3.3, §5.3), and UPIN's Path Tracer runs a
+traceroute on every installed flow (§2.1).  Every round-trip probe —
+echo series, traceroute, showpaths status — is computed here.
 
 A batch is a set of *lanes*, one per probe.  Lane *j* departs at
 ``t0 + j * interval_s`` and turns around after ``depths[j]`` links: an
 echo series is every lane at full depth, a traceroute is
-``probes_per_hop`` lanes per depth.  Depths are sorted, so the lanes
-that reach link *k* are a suffix of the lane array; the engine runs the
-forward steps 1..L and then the return steps L..1, each over its suffix.
-That is 2L :meth:`~repro.netsim.link.LinkState.transit_batch` calls per
-batch, whatever the number of lanes.
+``probes_per_hop`` lanes per depth.  Over a
+:class:`~repro.netsim.network.Route` resolved once per path, the batch
+is a (2L steps × lanes) matrix, forward steps 1..L then return L..1:
 
-Determinism contract (property-tested in
-``tests/test_netsim_fastpath.py``):
+* jitter and drop draws do not depend on time: they are drawn first,
+  step by step in the sequential order, into the rows; a lane that
+  turns back before a step draws nothing there and adds no delay;
+* only the utilization cell depends on arrival time.  A fixed point
+  finds it: guess each lane's cells, compute every step's delay,
+  ``np.cumsum`` over steps (bit-equal to a sequential ``+=``), derive
+  the cells of the arrival times, and redo the lanes whose cells moved;
+* congestion-episode drops are decided at the converged arrival times.
+
+By induction over steps a converged batch equals 2L sequential
+:meth:`~repro.netsim.link.LinkState.transit_batch` calls, the reference
+``tests/test_netsim_fastpath.py`` tests it against.  That file also
+checks the determinism contract:
 
 * same seed ⇒ byte-identical batches across runs and hosts;
-* jitter and drops come from per-(link, direction, purpose) streams.
-  Echo series (purpose :data:`ECHO`) keep the link's original noise
-  stream, which both directions share; traceroute and showpaths
-  probes each draw from their own stream, created on first use.  A
-  traceroute therefore never shifts the samples of a later echo series
-  over the same links, and building a host creates no generators for
-  purposes it never probes;
-* the physics is checked analytically rather than against a second
-  engine: every RTT is at least the propagation + serialization of
-  its lane's links, out and back, and loss matches 1 − Π survivals.
+* jitter and drops come from per-(link, direction, purpose) streams
+  (:meth:`~repro.netsim.link.LinkHalf.noise`).  Echo series (purpose
+  :data:`ECHO`) keep the link's noise stream, shared by both
+  directions; traceroute and showpaths probes each draw from their own
+  stream, created on first use, so they never shift a later echo
+  series over the same links;
+* every RTT is at least the propagation + serialization of its lane's
+  links, out and back, and loss matches 1 − Π survivals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,7 +49,7 @@ from repro.errors import ValidationError
 from repro.netsim.packet import PacketSpec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.netsim.network import LinkTraversal, NetworkSim
+    from repro.netsim.network import LinkTraversal, NetworkSim, Route
 
 #: Purpose of echo series (``scion ping``, the suite, the monitor).
 ECHO = "echo"
@@ -103,36 +97,64 @@ def roundtrip_steps(
 
 def _round_trip(
     network: "NetworkSim",
-    traversals: Sequence["LinkTraversal"],
+    route: "Route",
     packet: PacketSpec,
     send_times: "np.ndarray",
-    starts: Sequence[int],
+    starts: Optional[List[int]],
     purpose: str,
 ) -> BatchEchoSeries:
     """Run every lane out and back; ``starts[k]`` is the first lane
-    reaching link *k* (0-based)."""
-    n = send_times.size
-    n_links = len(traversals)
-    delay_ms = np.zeros(n, dtype=np.float64)
-    dropped = np.zeros(n, dtype=bool)
-    wire_bytes = packet.total_wire_bytes
-    fragments = packet.fragments
+    reaching link *k* (0-based), ``None`` when every lane crosses every
+    link."""
+    steps, n = route.round_trip, send_times.size
+    if float(send_times[0]) < 0:
+        raise ValidationError(f"negative simulation time: {float(send_times[0])}")
+    # Outbound step j crosses link j; return step j crosses link 2L-1-j.
+    firsts = [0] * len(steps) if starts is None else starts + starts[::-1]
+    jitter, uniform = np.zeros((2, len(steps), n))
+    for j, (half, lo) in enumerate(zip(steps, firsts)):
+        noise = half.noise(purpose)
+        noise.standard_normal(out=jitter[j, lo:])
+        noise.random(out=uniform[j, lo:])
+    jitter = np.abs(jitter * route.jitter_ms)
+    # Propagation + serialization, in transit_batch's order of operations.
+    fixed_ms = route.propagation_ms + packet.total_wire_bytes * 8.0 / route.cap_bps * 1e3
+    part = None if starts is None else np.arange(n) >= np.array(firsts)[:, None]
 
-    for j, step in enumerate(roundtrip_steps(traversals)):
-        # Outbound step j crosses link j; return step j crosses link 2L-1-j.
-        lo = starts[min(j, 2 * n_links - 1 - j)]
-        state = network.link_state(step.link)
-        direction = state.direction_from(step.sender)
-        t = send_times[lo:] + delay_ms[lo:] / 1e3
-        step_ms, step_drop = state.transit_batch(
-            direction, wire_bytes, fragments, t, purpose=purpose
-        )
-        # A lane dropped upstream keeps accumulating delay, but its RTT
-        # is already unobservable; the drop mask is only ever OR-ed.
-        delay_ms[lo:] += step_ms
-        dropped[lo:] |= step_drop
+    # The fixed point starts from the arrival times of propagation and
+    # serialization alone, so most lanes settle in one pass; whatever the
+    # guess, a pass settles at least one more step of every lane it
+    # redoes (step 0 arrives at the send time).
+    unqueued = fixed_ms if part is None else np.where(part, fixed_ms, 0.0)
+    times = np.vstack([send_times, send_times + np.cumsum(unqueued[:-1], axis=0) / 1e3])
+    cells = (times / route.step_s).astype(np.int64)
+    totals = np.empty((len(steps), n))  # each lane's delay after each step
+    lanes: "slice | np.ndarray" = slice(None)
+    while True:
+        delay = _step_delays(network, route, fixed_ms, jitter[:, lanes], cells[:, lanes])
+        if part is not None:
+            delay = np.where(part[:, lanes], delay, 0.0)
+        totals[:, lanes] = total = np.cumsum(delay, axis=0)
+        arrive = send_times[lanes] + total[:-1] / 1e3
+        new_cells = (arrive / route.step_s[1:]).astype(np.int64)
+        moved = new_cells != cells[1:, lanes]
+        if part is not None:
+            moved &= part[1:, lanes]
+        if not moved.any():
+            break
+        cells[1:, lanes] = new_cells
+        redo = moved.any(axis=0)
+        lanes = np.flatnonzero(redo) if isinstance(lanes, slice) else lanes[redo]
 
-    rtt = np.where(dropped, np.nan, delay_ms)
+    if len(network.episodes):
+        arrive = send_times + np.vstack([np.zeros(n), totals[:-1]]) / 1e3
+        dropped = np.zeros((len(steps), n), dtype=bool)
+        for j, (half, lo) in enumerate(zip(steps, firsts)):
+            survive = half.survival(arrive[j, lo:], packet.fragments)
+            dropped[j, lo:] = uniform[j, lo:] > survive
+    else:  # a lane's skipped steps hold 0.0, which exceeds no survival
+        dropped = uniform > route.keep ** max(1, packet.fragments)
+    rtt = np.where(dropped.any(axis=0), np.nan, totals[-1])
     rtt = np.where(rtt > network.config.probe_timeout_s * 1e3, np.nan, rtt)
 
     network.counters.batch_series += 1
@@ -140,9 +162,27 @@ def _round_trip(
     return BatchEchoSeries(send_times_s=send_times, rtt_ms=rtt)
 
 
+def _step_delays(
+    network: "NetworkSim", route: "Route", fixed_ms: "np.ndarray",
+    jitter: "np.ndarray", cells: "np.ndarray",
+) -> "np.ndarray":
+    """One fixed-point pass: every step's delay for the lanes of
+    ``cells``, queueing at those utilization cells, summed in
+    transit_batch's order."""
+    low = cells.min(axis=1)
+    width = int((cells.max(axis=1) - low).max()) + 1
+    grid = np.array(
+        [half.util.cells(k, width) for half, k in zip(route.round_trip, low.tolist())]
+    )
+    # Row j of ``grid`` starts at cell low[j]: gather through flat offsets.
+    rho = grid.take(cells + (np.arange(0, grid.size, width) - low)[:, None])
+    queue_ms = network.config.queue_scale_ms * rho / np.maximum(1e-6, 1.0 - rho)
+    return fixed_ms + queue_ms + jitter
+
+
 def probe_batch(
     network: "NetworkSim",
-    traversals: Sequence["LinkTraversal"],
+    traversals: "Route | Sequence[LinkTraversal]",
     packet: PacketSpec,
     count: int,
     interval_s: float,
@@ -155,20 +195,20 @@ def probe_batch(
     Probes slower than ``config.probe_timeout_s`` count as lost, like
     the real ``scion ping`` deadline.
     """
-    if not traversals:
+    route = network.route(traversals)
+    if not route.forward:
         raise ValidationError("empty path")
     if count < 1:
         raise ValidationError(f"echo count must be >= 1: {count}")
     if interval_s <= 0:
         raise ValidationError("echo interval must be positive")
     send_times = t0_s + np.arange(count, dtype=np.float64) * interval_s
-    starts = [0] * len(traversals)
-    return _round_trip(network, traversals, packet, send_times, starts, ECHO)
+    return _round_trip(network, route, packet, send_times, None, ECHO)
 
 
 def probe_depths(
     network: "NetworkSim",
-    traversals: Sequence["LinkTraversal"],
+    traversals: "Route | Sequence[LinkTraversal]",
     packet: PacketSpec,
     depths: Sequence[int],
     interval_s: float,
@@ -186,14 +226,15 @@ def probe_depths(
     """
     if purpose == ECHO:
         raise ValidationError("depth-laned probes may not draw from the echo streams")
-    if not traversals:
+    route = network.route(traversals)
+    if not route.forward:
         raise ValidationError("empty path")
     lanes = np.asarray(depths, dtype=np.int64)
     if lanes.size < 1:
         raise ValidationError("depth-laned probe needs at least one lane")
     if interval_s < 0:
         raise ValidationError("probe interval must not be negative")
-    n_links = len(traversals)
+    n_links = len(route.forward)
     if int(lanes[0]) < 1 or int(lanes[-1]) > n_links:
         raise ValidationError(f"probe depth out of range 1..{n_links}")
     if lanes.size > 1 and bool((np.diff(lanes) < 0).any()):
@@ -201,4 +242,4 @@ def probe_depths(
     # Lanes with depth > k cross link k (0-based): a suffix of the array.
     starts = np.searchsorted(lanes, np.arange(1, n_links + 1), side="left").tolist()
     send_times = t0_s + np.arange(lanes.size, dtype=np.float64) * interval_s
-    return _round_trip(network, traversals, packet, send_times, starts, purpose)
+    return _round_trip(network, route, packet, send_times, starts, purpose)

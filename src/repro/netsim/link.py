@@ -2,8 +2,8 @@
 
 A :class:`LinkState` is the simulator's live counterpart of a static
 :class:`repro.topology.entities.LinkSpec`.  Direction matters: each
-direction has its own capacity, its own cross-traffic process, and its
-own pps budget (taken from the sending AS's router limits).
+direction is a :class:`LinkHalf` with its own capacity, cross-traffic
+process and pps budget (taken from the sending AS's router limits).
 """
 
 from __future__ import annotations
@@ -37,8 +37,118 @@ class LinkDirection(enum.Enum):
     B_TO_A = "ba"
 
 
+class LinkHalf:
+    """One direction of a link: its capacity, cross-traffic process,
+    jitter scale (the receiving AS's) and pps budget (the min of the
+    sender's send and the receiver's recv limits), resolved once.  A
+    :class:`~repro.netsim.network.Route` is a tuple of halves, so the
+    engines read them as attributes, with no lookup per step."""
+
+    def __init__(
+        self, state: "LinkState", direction: LinkDirection,
+        sender: AutonomousSystem, receiver: AutonomousSystem, util: UtilizationProcess,
+    ) -> None:
+        spec, config = state.spec, state.config
+        self.state, self.spec, self.direction, self.util = state, spec, direction, util
+        self.step_s = util.params.step_s
+        ab = direction is LinkDirection.A_TO_B
+        self.cap_bps = (spec.capacity_ab_mbps if ab else spec.capacity_ba_mbps) * 1e6
+        self.jitter_scale = config.jitter_for(receiver.isd_as)
+        self.pps_budget = min(
+            config.pps_for(sender.isd_as).send, config.pps_for(receiver.isd_as).recv
+        )
+        self.propagation_ms = state.propagation_ms
+        #: Per-fragment survival of a probe outside congestion episodes,
+        #: and its fluid-transfer twin (rounded in that model's order).
+        self.keep = 1.0 - (spec.base_loss + config.default_base_loss)
+        self.fluid_keep = 1.0 - config.default_base_loss - spec.base_loss
+
+    def noise(self, purpose: str) -> np.random.Generator:
+        """The jitter/drop stream of ``purpose``: the link's shared noise
+        stream for echo series, a per-direction stream, created on first
+        use, for every other purpose (see :mod:`repro.netsim.batch`)."""
+        state = self.state
+        if purpose == ECHO:
+            return state._noise
+        name = f"{state._stream_key}:noise:{self.direction.value}:{purpose}"
+        return state._streams.get(name)
+
+    def survival(self, t: "np.ndarray", n_fragments: int) -> "float | np.ndarray":
+        """``((1 - base) * (1 - episode loss)) ** fragments`` at arrival
+        times ``t``; a scalar when no episode is scheduled (keep * 1.0 is
+        keep, so it equals the array form bit for bit)."""
+        episodes = self.state.episodes
+        if not len(episodes):
+            return self.keep ** max(1, n_fragments)
+        extra_loss, cap_factor = episodes.disturbance_at(self.spec, t)
+        per_fragment_survive = np.where(
+            (cap_factor <= 0.0) & (extra_loss >= 1.0), 0.0, self.keep * (1.0 - extra_loss)
+        )
+        return per_fragment_survive ** max(1, n_fragments)
+
+    def window(self, t0_s: float, t1_s: float) -> Tuple[float, float, float]:
+        """Memoized ``(mean utilization, episode loss, capacity factor)``.
+
+        The sampling cache behind fluid transfers: the window integrals
+        (:meth:`UtilizationProcess.mean_over` + :meth:`EpisodeSchedule.
+        window_disturbance`) are pure given the episode schedule, so
+        results are keyed on ``(half, t0, t1)`` in the link's cache and
+        dropped whenever :attr:`EpisodeSchedule.epoch` moves (an episode
+        added, a link blackholed after a revocation).
+        """
+        state, episodes = self.state, self.state.episodes
+        cache = state._window_cache
+        if state._window_cache_epoch != episodes.epoch:
+            cache.clear()
+            state._window_cache_epoch = episodes.epoch
+        key = (self, t0_s, t1_s)
+        cached = cache.get(key)
+        if cached is not None:
+            state.counters.sampler_hits += 1
+            return cached
+        state.counters.sampler_misses += 1
+        rho = self.util.mean_over(t0_s, t1_s)
+        ep_loss, cap_factor = episodes.window_disturbance(self.spec, t0_s, t1_s)
+        if len(cache) >= SAMPLING_CACHE_MAX_ENTRIES:
+            cache.clear()  # rare; keeps memory bounded
+        result = cache[key] = (rho, ep_loss, cap_factor)
+        return result
+
+    def share(
+        self, offered_bps: float, offered_pps: float, t0_s: float, t1_s: float,
+        competing_bps: float,
+    ) -> Tuple[float, float]:
+        """(byte_accept_ratio, pps_accept_ratio) for a transfer window.
+
+        ``byte_accept_ratio`` compares offered wire bits/s against the
+        capacity left over by cross traffic (scaled down by any active
+        congestion episode) and by ``competing_bps`` of other registered
+        foreground flows; ``pps_accept_ratio`` compares offered packets/s
+        against the *sending* router's pps budget.  Conditional
+        expressions stand in for builtin ``min``/``max``: the same
+        comparisons, so the same results, without a builtin call per
+        link of every transfer.
+        """
+        rho, ep_loss, cap_factor = self.window(t0_s, t1_s)
+        available = self.cap_bps * (1.0 - rho) - competing_bps
+        available = available if available > 0.0 else 0.0
+        if ep_loss > 0.0:
+            cap_factor = 0.0 if 0.0 > cap_factor else cap_factor
+            available = available * (1.0 - ep_loss) * cap_factor + 1e-9
+        byte_ratio = available / (1e-9 if 1e-9 > offered_bps else offered_bps)
+        # min(send, recv) / offered == min(send/offered, recv/offered)
+        # exactly (IEEE division is monotone for a positive divisor), so
+        # the budget min is folded into a per-direction constant.
+        pps_ratio = self.pps_budget / (1e-9 if 1e-9 > offered_pps else offered_pps)
+        return (
+            byte_ratio if byte_ratio < 1.0 else 1.0,
+            pps_ratio if pps_ratio < 1.0 else 1.0,
+        )
+
+
 class LinkState:
-    """Dynamic behaviour of one inter-AS link."""
+    """One inter-AS link: its :class:`LinkHalf` ``ab`` and ``ba`` and what
+    they share (propagation, noise stream, window cache)."""
 
     def __init__(
         self,
@@ -54,74 +164,46 @@ class LinkState:
         self.config = config
         self.episodes = episodes
         self.counters = counters if counters is not None else NetCounters()
-        #: (direction, t0, t1) -> (mean utilization, window episode loss,
+        #: (half, t0, t1) -> (mean utilization, window episode loss,
         #: window capacity factor), valid for one episode-schedule epoch.
         self._window_cache: Dict[
-            Tuple["LinkDirection", float, float], Tuple[float, float, float]
+            Tuple[LinkHalf, float, float], Tuple[float, float, float]
         ] = {}
         self._window_cache_epoch = episodes.epoch
-        self._a = a_sys
-        self._b = b_sys
         self.propagation_ms = propagation_delay_ms(
             a_sys.location, b_sys.location, circuity=config.circuity
         )
         util_params = config.utilization_for(spec.kind.value)
         key = f"link:{spec.a}#{spec.a_ifid}>{spec.b}#{spec.b_ifid}"
-        self._util = {
-            LinkDirection.A_TO_B: UtilizationProcess(
-                util_params, streams.get(f"{key}:util:ab")
-            ),
-            LinkDirection.B_TO_A: UtilizationProcess(
-                util_params, streams.get(f"{key}:util:ba")
-            ),
-        }
         # Echo series draw jitter and drops from the link's shared noise
         # stream; every other probe purpose gets its own stream per
         # direction, created on first use (see :mod:`repro.netsim.batch`).
         self._noise = streams.get(f"{key}:noise")
         self._streams = streams
         self._stream_key = key
-        # Per-direction constants, resolved once: capacity, the receiving
-        # AS's jitter scale, the min of sender-send/receiver-recv pps
-        # budgets, and the residual loss floor.  All are immutable for
-        # the lifetime of the LinkState, and the transit/fluid hot paths
-        # re-read them for every traversal step of every measurement.
-        self._cap_bps = {
-            LinkDirection.A_TO_B: spec.capacity_ab_mbps * 1e6,
-            LinkDirection.B_TO_A: spec.capacity_ba_mbps * 1e6,
-        }
-        self._jitter_scale = {
-            d: config.jitter_for(self._receiver_sys(d).isd_as)
-            for d in LinkDirection
-        }
-        self._pps_budget = {
-            d: min(
-                config.pps_for(self._sender_sys(d).isd_as).send,
-                config.pps_for(self._receiver_sys(d).isd_as).recv,
+        self.ab, self.ba = (
+            LinkHalf(
+                self, d, sender, receiver,
+                UtilizationProcess(util_params, streams.get(f"{key}:util:{d.value}")),
             )
-            for d in LinkDirection
-        }
-        self._base_loss = spec.base_loss + config.default_base_loss
+            for d, sender, receiver in (
+                (LinkDirection.A_TO_B, a_sys, b_sys),
+                (LinkDirection.B_TO_A, b_sys, a_sys),
+            )
+        )
 
     # -- direction helpers -----------------------------------------------------
 
     def direction_from(self, sender: ISDAS) -> LinkDirection:
-        return (
-            LinkDirection.A_TO_B if sender == self.spec.a else LinkDirection.B_TO_A
-        )
+        return self.half_from(sender).direction
 
-    def _sender_sys(self, direction: LinkDirection) -> AutonomousSystem:
-        return self._a if direction is LinkDirection.A_TO_B else self._b
+    def half(self, direction: LinkDirection) -> LinkHalf:
+        return self.ab if direction is LinkDirection.A_TO_B else self.ba
 
-    def _receiver_sys(self, direction: LinkDirection) -> AutonomousSystem:
-        return self._b if direction is LinkDirection.A_TO_B else self._a
+    def half_from(self, sender: ISDAS) -> LinkHalf:
+        return self.ab if sender == self.spec.a else self.ba
 
-    def mean_utilization(
-        self, direction: LinkDirection, t0_s: float, t1_s: float
-    ) -> float:
-        return self._util[direction].mean_over(t0_s, t1_s)
-
-    # -- transit (the data-plane engine) ----------------------------------------------
+    # -- transit: the sequential reference of the batch engine -------------------------
 
     def transit_batch(
         self,
@@ -141,48 +223,21 @@ class LinkState:
         + per-transit jitter (the receiving AS's router adds the jitter —
         this is where §6.1's jittery ASes enter).  A packet survives with
         probability ``((1 - base) * (1 - episode loss)) ** fragments``.
-        The static terms are computed once, utilization is gathered via
-        :meth:`UtilizationProcess.values_at`, jitter is one
-        ``normal(size=n)`` vector and the drop decision one vectorized
-        Bernoulli, both drawn from the RNG stream of ``purpose``: the
-        link's shared noise stream for echo series, a per-direction
-        stream for every other purpose.
+        Jitter (one ``normal(size=n)`` vector) and drops come from the
+        stream of ``purpose`` (:meth:`LinkHalf.noise`).  One call is one
+        step of the sequential round trip that :mod:`repro.netsim.batch`
+        computes as a matrix and is tested against.
         """
-        if isinstance(t_array, np.ndarray) and t_array.dtype == np.float64:
-            t = t_array
-        else:
-            t = np.asarray(t_array, dtype=np.float64)
+        t = np.asarray(t_array, dtype=np.float64)
         n = t.size
-        cap = self._cap_bps[direction]
-        rho = self._util[direction].values_at(t)
+        half = self.half(direction)
+        rho = half.util.values_at(t)
 
-        serialization_ms = wire_bytes * 8.0 / cap * 1e3
+        serialization_ms = wire_bytes * 8.0 / half.cap_bps * 1e3
         queue_ms = self.config.queue_scale_ms * rho / np.maximum(1e-6, 1.0 - rho)
-        if purpose == ECHO:
-            noise = self._noise
-        else:
-            noise = self._streams.get(
-                f"{self._stream_key}:noise:{direction.value}:{purpose}"
-            )
-        jitter_ms = np.abs(noise.normal(0.0, self._jitter_scale[direction], size=n))
-
-        base = self._base_loss
-        if len(self.episodes):
-            extra_loss, cap_factor = self.episodes.disturbance_at(self.spec, t)
-            per_fragment_survive = (1.0 - base) * (1.0 - extra_loss)
-            per_fragment_survive = np.where(
-                (cap_factor <= 0.0) & (extra_loss >= 1.0),
-                0.0,
-                per_fragment_survive,
-            )
-        else:
-            # Empty schedule fast path: extra_loss is identically 0 and
-            # cap_factor 1, so ``per_fragment_survive`` collapses to the
-            # scalar ``(1 - base) * (1 - 0)`` — bit-identical to the
-            # array expression, minus three array temporaries per step.
-            per_fragment_survive = (1.0 - base) * 1.0
-        survive = per_fragment_survive ** max(1, n_fragments)
-        dropped = noise.random(size=n) > survive
+        noise = half.noise(purpose)
+        jitter_ms = np.abs(noise.normal(0.0, half.jitter_scale, size=n))
+        dropped = noise.random(size=n) > half.survival(t, n_fragments)
 
         delay_ms = self.propagation_ms + serialization_ms + queue_ms + jitter_ms
         return delay_ms, dropped
@@ -192,35 +247,8 @@ class LinkState:
     def window_sample(
         self, direction: LinkDirection, t0_s: float, t1_s: float
     ) -> Tuple[float, float, float]:
-        """Memoized ``(mean utilization, episode loss, capacity factor)``.
-
-        The sampling cache behind fluid transfers: the window integrals
-        (:meth:`mean_utilization` + :meth:`EpisodeSchedule.
-        window_disturbance`) are pure given the episode schedule, so
-        results are keyed on ``(direction, t0, t1)`` and invalidated
-        wholesale whenever :attr:`EpisodeSchedule.epoch` moves — i.e.
-        when an episode is added or the monitor blackholes a link after
-        a revocation.  Failover correctness is therefore untouched: no
-        pre-episode answer survives the bump.
-        """
-        if self._window_cache_epoch != self.episodes.epoch:
-            self._window_cache.clear()
-            self._window_cache_epoch = self.episodes.epoch
-        key = (direction, t0_s, t1_s)
-        cached = self._window_cache.get(key)
-        if cached is not None:
-            self.counters.sampler_hits += 1
-            return cached
-        self.counters.sampler_misses += 1
-        rho = self.mean_utilization(direction, t0_s, t1_s)
-        ep_loss, cap_factor = self.episodes.window_disturbance(
-            self.spec, t0_s, t1_s
-        )
-        if len(self._window_cache) >= SAMPLING_CACHE_MAX_ENTRIES:
-            self._window_cache.clear()  # rare; keeps memory bounded
-        result = (rho, ep_loss, cap_factor)
-        self._window_cache[key] = result
-        return result
+        """:meth:`LinkHalf.window` of ``direction``."""
+        return self.half(direction).window(t0_s, t1_s)
 
     def fluid_share(
         self,
@@ -232,26 +260,7 @@ class LinkState:
         *,
         competing_bps: float = 0.0,
     ) -> Tuple[float, float]:
-        """(byte_accept_ratio, pps_accept_ratio) for a transfer window.
-
-        ``byte_accept_ratio`` compares offered wire bits/s against the
-        capacity left over by cross traffic (scaled down by any active
-        congestion episode) and by ``competing_bps`` of other registered
-        foreground flows; ``pps_accept_ratio`` compares offered packets/s
-        against the *sending* router's pps budget.
-        """
-        rho, ep_loss, cap_factor = self.window_sample(direction, t0_s, t1_s)
-        capacity = self._cap_bps[direction]
-        available = max(0.0, capacity * (1.0 - rho) - competing_bps)
-        if ep_loss > 0.0:
-            available = available * (1.0 - ep_loss) * max(cap_factor, 0.0) + 1e-9
-
-        byte_ratio = min(1.0, available / max(offered_bps, 1e-9))
-
-        # min(send, recv) / offered == min(send/offered, recv/offered)
-        # exactly (IEEE division is monotone for a positive divisor), so
-        # the budget min is folded into a per-direction constant.
-        pps_ratio = min(
-            1.0, self._pps_budget[direction] / max(offered_pps, 1e-9)
+        """:meth:`LinkHalf.share` of ``direction``."""
+        return self.half(direction).share(
+            offered_bps, offered_pps, t0_s, t1_s, competing_bps
         )
-        return byte_ratio, pps_ratio

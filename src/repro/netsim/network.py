@@ -13,12 +13,14 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.errors import TopologyError, ValidationError
 from repro.netsim.clock import SimClock
 from repro.netsim.config import NetworkConfig
 from repro.netsim.congestion import CongestionEpisode, EpisodeSchedule
 from repro.netsim.counters import NetCounters
-from repro.netsim.link import LinkState
+from repro.netsim.link import LinkHalf, LinkState
 from repro.netsim.packet import PacketSpec
 from repro.topology.entities import LinkSpec
 from repro.topology.graph import Topology
@@ -37,6 +39,29 @@ class LinkTraversal:
 
     def reversed(self) -> "LinkTraversal":
         return LinkTraversal(link=self.link, sender=self.link.other(self.sender))
+
+
+class Route:
+    """A path resolved against one network: the link halves it crosses
+    out (``forward``) and back (``back``, in return order), with the
+    batch engine's per-step constants as (2L, 1) columns.  Resolved once
+    per path (:meth:`repro.scion.path.Path.route`)."""
+
+    def __init__(self, forward: Tuple[LinkHalf, ...], back: Tuple[LinkHalf, ...]):
+        self.forward, self.back = forward, back
+        self.round_trip = halves = forward + back
+        self.step_s, self.jitter_ms, self.propagation_ms, self.cap_bps, self.keep = (
+            np.array([[getattr(h, name)] for h in halves], dtype=np.float64).reshape(-1, 1)
+            for name in ("step_s", "jitter_scale", "propagation_ms", "cap_bps", "keep")
+        )
+        self._reversed: Optional[Route] = None
+
+    def reversed(self) -> "Route":
+        """The same links crossed the other way (the bwtest's s->c half)."""
+        if self._reversed is None:
+            self._reversed = Route(self.back, self.forward)
+            self._reversed._reversed = self
+        return self._reversed
 
 
 @dataclass(frozen=True)
@@ -205,22 +230,32 @@ class NetworkSim:
             raise TopologyError(f"link not part of this network: {spec}")
         return state
 
+    def route(self, hops: "Route | Sequence[LinkTraversal]") -> Route:
+        """Resolve traversals into a :class:`Route` (a route passes through)."""
+        if isinstance(hops, Route):
+            return hops
+        halves = tuple(
+            self.link_state(step.link).half_from(step.sender)
+            for step in batch.roundtrip_steps(hops)
+        )
+        return Route(halves[: len(hops)], halves[len(hops) :])
+
     # -- round-trip probes (the data-plane engine, see :mod:`.batch`) ---------------
 
     def probe_batch(
         self,
-        traversals: Sequence[LinkTraversal],
+        traversals: "Route | Sequence[LinkTraversal]",
         packet: PacketSpec,
         count: int,
         interval_s: float,
         t0_s: Optional[float] = None,
     ) -> "batch.BatchEchoSeries":
-        """Whole echo series in O(links) numpy ops.
+        """Whole echo series as one steps × lanes matrix (:mod:`.batch`).
 
         Packet *i* of ``count`` departs at ``t0_s + i * interval_s``
-        (``t0_s`` defaults to the simulation clock); per-link jitter and
-        drop decisions are drawn as one vector per link/direction from
-        the links' echo streams.  Same seed ⇒ byte-identical series.
+        (``t0_s`` defaults to the simulation clock); jitter and drop
+        decisions are drawn as one vector per link step from the links'
+        echo streams.  Same seed ⇒ byte-identical series.
         Does **not** advance the clock — callers advance it by
         ``count * interval_s``.
         """
@@ -229,7 +264,7 @@ class NetworkSim:
 
     def probe_depths(
         self,
-        traversals: Sequence[LinkTraversal],
+        traversals: "Route | Sequence[LinkTraversal]",
         packet: PacketSpec,
         depths: Sequence[int],
         *,
@@ -254,7 +289,7 @@ class NetworkSim:
 
     def fluid_transfer(
         self,
-        traversals: Sequence[LinkTraversal],
+        traversals: "Route | Sequence[LinkTraversal]",
         target_bps: float,
         packet: PacketSpec,
         duration_s: float,
@@ -276,7 +311,8 @@ class NetworkSim:
         """
         if target_bps <= 0 or duration_s <= 0:
             raise ValidationError("transfer needs positive rate and duration")
-        if not traversals:
+        route = self.route(traversals)
+        if not route.forward:
             raise ValidationError("empty path")
         t0 = self.clock.now_s if t_s is None else t_s
         t1 = t0 + duration_s
@@ -287,38 +323,36 @@ class NetworkSim:
         self.flows.prune(t0)
 
         pps = target_bps / (8.0 * packet.payload_bytes)
+        wire_bytes = packet.total_wire_bytes
+        fragments = packet.fragments
+        # Skipping an empty ledger is exact: a path crosses each link
+        # direction once, so no transfer competes with its own records.
+        ledger = self.flows if self.flows else None
         survival = 1.0
-        base = self.config.default_base_loss
 
         rate_pps = pps
-        for step in traversals:
-            state = self.link_state(step.link)
-            direction = state.direction_from(step.sender)
-            offered_bps = rate_pps * packet.total_wire_bytes * 8.0
-            offered_pps = rate_pps * packet.fragments
-            competing = self.flows.concurrent_load_bps(
-                step.link.key(), direction, t0, t1
+        for half in route.forward:
+            offered_bps = rate_pps * wire_bytes * 8.0
+            offered_pps = rate_pps * fragments
+            competing = 0.0 if ledger is None else ledger.concurrent_load_bps(
+                half.spec.key(), half.direction, t0, t1
             )
-            byte_ratio, pps_ratio = state.fluid_share(
-                direction, offered_bps, offered_pps, t0, t1,
-                competing_bps=competing,
-            )
+            byte_ratio, pps_ratio = half.share(offered_bps, offered_pps, t0, t1, competing)
+            accept = pps_ratio if pps_ratio < byte_ratio else byte_ratio  # min
             if register_flow:
                 self.flows.register(
                     FlowRecord(
-                        link_key=step.link.key(),
-                        direction=direction,
+                        link_key=half.spec.key(),
+                        direction=half.direction,
                         t0_s=t0,
                         t1_s=t1,
-                        wire_bps=min(offered_bps, offered_bps * min(byte_ratio, pps_ratio))
+                        wire_bps=min(offered_bps, offered_bps * accept)
                         if offered_bps > 0
                         else 0.0,
                     )
                 )
-            frag_survive = min(byte_ratio, pps_ratio) * (
-                1.0 - base - step.link.base_loss
-            )
-            pkt_survive = max(0.0, frag_survive) ** packet.fragments
+            frag_survive = accept * half.fluid_keep
+            pkt_survive = (frag_survive if frag_survive > 0.0 else 0.0) ** fragments
             survival *= pkt_survive
             rate_pps *= pkt_survive
             if survival <= 1e-9:

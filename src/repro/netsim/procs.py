@@ -9,7 +9,7 @@ deterministic under refactoring.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -40,9 +40,6 @@ class UtilizationProcess:
         self._rng = rng
         first = params.mean + params.sigma * float(rng.standard_normal())
         self._values: List[float] = [self._clamp(first)]
-        #: Cached ndarray view of ``_values`` (rebuilt after extension) so
-        #: the vectorized readers don't re-convert the list per call.
-        self._arr: Optional[np.ndarray] = None
 
     def _clamp(self, u: float) -> float:
         return min(max(u, self.params.floor), self.params.ceil)
@@ -54,7 +51,6 @@ class UtilizationProcess:
             return
         if n_missing < EXTEND_CHUNK:
             n_missing = EXTEND_CHUNK  # over-extend; bit-identical cells
-        self._arr = None  # invalidate the ndarray view
         # One vectorized draw consumes the generator's stream exactly
         # like ``n_missing`` scalar ``standard_normal()`` calls (a
         # property of :class:`numpy.random.Generator` the fast path's
@@ -84,37 +80,27 @@ class UtilizationProcess:
     def values_at(self, t_array: "np.ndarray") -> "np.ndarray":
         """Vectorized :meth:`value_at`: utilization at every time in one go.
 
-        The grid cache is shared with the scalar reader, so for any time
-        *t*, ``values_at([t])[0] == value_at(t)`` exactly — the batch
-        measurement fast path (:mod:`repro.netsim.batch`) relies on this
-        to keep the AR(1) series identical no matter which evaluator
-        touched a grid cell first.  Cost is O(max step) amortised plus
-        one fancy-index gather, instead of one Python call per sample.
+        Reads the grid through :meth:`cells`, as the batch engine
+        (:mod:`repro.netsim.batch`) does, so for any time *t*,
+        ``values_at([t])[0] == value_at(t)`` exactly, whichever reader
+        touched a grid cell first.
         """
-        if isinstance(t_array, np.ndarray) and t_array.dtype == np.float64:
-            t = t_array
-        else:
-            t = np.asarray(t_array, dtype=np.float64)
+        t = np.asarray(t_array, dtype=np.float64)
         if t.size == 0:
             return np.empty(0, dtype=np.float64)
         if float(t.min()) < 0:
             raise ValidationError(f"negative simulation time: {float(t.min())}")
         k = (t / self.params.step_s).astype(np.int64)
         k_min = int(k.min())
-        k_max = int(k.max())
-        self._extend_to(k_max)
-        span = k_max - k_min + 1
-        if span <= 4 * t.size:
-            # Narrow query (the echo-series case: count samples inside a
-            # few-second window).  Gather from a slice of the list so a
-            # freshly extended grid doesn't force re-materializing the
-            # whole history — that rebuild made interleaved
-            # extend/read patterns O(grid²) over a campaign.
-            sub = np.asarray(self._values[k_min : k_max + 1], dtype=np.float64)
-            return sub[k - k_min]
-        if self._arr is None or self._arr.size != len(self._values):
-            self._arr = np.asarray(self._values, dtype=np.float64)
-        return self._arr[k]
+        window = self.cells(k_min, int(k.max()) - k_min + 1)
+        return np.asarray(window, dtype=np.float64)[k - k_min]
+
+    def cells(self, k0: int, count: int) -> List[float]:
+        """Grid values of cells ``k0 .. k0 + count - 1`` (extending the
+        grid as needed): the one gather behind every vectorized reader."""
+        if k0 + count > len(self._values):
+            self._extend_to(k0 + count - 1)
+        return self._values[k0 : k0 + count]
 
     def mean_over(self, t0_s: float, t1_s: float) -> float:
         """Average utilization over the window ``[t0, t1]``.
@@ -126,7 +112,8 @@ class UtilizationProcess:
             raise ValidationError("window end before start")
         k0 = int(t0_s / self.params.step_s)
         k1 = int(t1_s / self.params.step_s)
-        self._extend_to(k1)
+        if k1 >= len(self._values):
+            self._extend_to(k1)
         window = self._values[k0 : k1 + 1]
         if len(window) < 8:
             # Bit-identical to np.mean for < 8 elements: numpy's

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.errors import TopologyError, ValidationError
-from repro.netsim.network import LinkTraversal
+from repro.netsim.network import LinkTraversal, NetworkSim, Route
 from repro.topology.graph import Topology
 from repro.topology.isd_as import ISDAS
 
@@ -132,6 +132,16 @@ class Path:
             (weakref.ref(topology), topology.epoch, tuple(steps)),
         )
         return steps
+
+    def route(self, network: NetworkSim) -> Route:
+        """:meth:`traversals` resolved against ``network``, memoized alike."""
+        epoch = network.topology.epoch
+        cached = self.__dict__.get("_route_memo")
+        if cached is None or cached[0]() is not network or cached[1] != epoch:
+            route = network.route(self.traversals(network.topology))
+            cached = (weakref.ref(network), epoch, route)
+            object.__setattr__(self, "_route_memo", cached)
+        return cached[2]
 
     def static_latency_ms(self, topology: Topology) -> float:
         """Sum of one-way propagation delays — showpaths' latency hint."""

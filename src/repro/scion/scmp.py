@@ -112,7 +112,7 @@ class ScmpService:
                 clock.advance(interval_s)
             return EchoStats(destination=destination, sent=count, received=0, rtts_ms=())
         series = self.network.probe_batch(
-            path.traversals(self.network.topology),
+            path.route(self.network),
             self._packet(path, payload_bytes + SCMP_HEADER_BYTES),
             count,
             interval_s,
@@ -147,7 +147,7 @@ class ScmpService:
         n_links = len(traversals)
         clock = self.network.clock
         series = self.network.probe_depths(
-            traversals,
+            path.route(self.network),
             self._packet(path, SCMP_HEADER_BYTES),
             np.repeat(np.arange(1, n_links + 1), probes_per_hop),
             purpose=TRACEROUTE,

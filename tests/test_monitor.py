@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro.docdb.client import DocDBClient
+from repro.docdb.collection import Collection
 from repro.errors import TopologyError, ValidationError
 from repro.experiments.world import run_campaign
 from repro.monitor.failover import FailoverEngine
@@ -20,6 +21,7 @@ from repro.monitor.journal import (
     EVENT_FAILOVER_FAILED,
     EVENT_FAILOVER_SUPPRESSED,
     EVENT_TYPES,
+    FLOW_EVENTS_COLLECTION,
     FlowEventJournal,
 )
 from repro.monitor.loop import FlowMonitor
@@ -571,6 +573,32 @@ class TestOutageScenario:
 def crowded_scenario():
     """The scripted episode with 49 more flows on alice's destination."""
     return run_outage_scenario(rounds=8, extra_flows=49)
+
+
+class TestScenarioRegistrations:
+    def test_fifty_registrations_are_one_insert_many(self, monkeypatch):
+        """The scenario writes its flows' registrations as one
+        ``insert_many``, with the seq, ``_id`` and order that one write
+        per flow gave."""
+        writes = []
+        real = Collection.insert_many
+
+        def spy(coll, docs):
+            docs = list(docs)
+            if coll.name == FLOW_EVENTS_COLLECTION:
+                writes.append(
+                    [(d["type"], d["seq"], d["_id"], d["user"]) for d in docs]
+                )
+            return real(coll, docs)
+
+        monkeypatch.setattr(Collection, "insert_many", spy)
+        scenario = run_outage_scenario(rounds=1, extra_flows=49)
+        users = [scenario.user] + [f"flow-{i:03d}" for i in range(49)]
+        assert writes[0] == [
+            ("flow_registered", seq, f"flowevt_{seq:08d}", user)
+            for seq, user in enumerate(users)
+        ]
+        assert all(doc[0] != "flow_registered" for w in writes[1:] for doc in w)
 
 
 class TestCrowdedOutageScenario:

@@ -1,8 +1,14 @@
 """The data-plane engine and its determinism contract.
 
-Covers the batch engine end to end, checked against physics rather
-than against a second engine:
+Covers the batch engine end to end, checked against physics and
+against the sequential reference it replaces:
 
+* the (2L steps × lanes) matrix of ``probe_batch`` / ``probe_depths``
+  is byte-identical to 2L sequential ``LinkState.transit_batch`` calls
+  (Hypothesis, across chain worlds, counts, intervals, depth lanes,
+  purposes and episodes), leaves every noise stream where the
+  reference leaves it, and redoes only the lanes whose utilization
+  cell moved,
 * seeded determinism of :func:`repro.netsim.batch.probe_batch` (same
   seed ⇒ byte-identical rtt vectors, property-tested over seeds) and of
   traceroute across hosts,
@@ -34,8 +40,15 @@ from repro.apps.showpaths import ShowpathsApp
 from repro.docdb.client import DocDBClient
 from repro.errors import NoPathError, ValidationError
 from repro.monitor.revocation import Revocation, RevocationStore
-from repro.netsim.batch import ECHO, probe_batch, roundtrip_steps
-from repro.netsim.config import NetworkConfig
+from repro.netsim import batch as batch_mod
+from repro.netsim.batch import (
+    ECHO,
+    SHOWPATHS,
+    TRACEROUTE,
+    probe_batch,
+    roundtrip_steps,
+)
+from repro.netsim.config import NetworkConfig, UtilizationParams
 from repro.netsim.congestion import CongestionEpisode
 from repro.netsim.link import LinkDirection
 from repro.netsim.network import LinkTraversal, NetworkSim
@@ -47,6 +60,8 @@ from repro.suite.cli import seed_servers
 from repro.suite.collect import PathsCollector
 from repro.suite.config import STATS_COLLECTION, SuiteConfig
 from repro.suite.runner import TestRunner
+from repro.topology.builder import TopologyBuilder
+from repro.topology.entities import ASRole
 from repro.topology.isd_as import ISDAS
 from repro.topology.scionlab import (
     MY_AS,
@@ -296,6 +311,221 @@ class TestRevocationBlackhole:
         # Most probes outside the window survive (residual loss only).
         outside_received = int(np.count_nonzero(~series.lost_mask[~inside]))
         assert outside_received > 0.9 * int(np.count_nonzero(~inside))
+
+
+# -- the matrix engine against the sequential reference -------------------------
+
+
+def _chain_world(n_links):
+    """A provider chain: one core AS with ``n_links`` descendants."""
+    b = TopologyBuilder()
+    b.add_as("1-ffaa:0:1", "chain0", role=ASRole.CORE, lat=47.4, lon=8.5,
+             country="CH", operator="Op", ip="10.0.0.1")
+    for i in range(1, n_links + 1):
+        b.add_as(f"1-ffaa:0:{i + 1}", f"chain{i}", role=ASRole.NON_CORE,
+                 lat=47.4 + 0.9 * i, lon=8.5 - 1.1 * i, country="CH",
+                 operator="Op", ip=f"10.0.0.{i + 1}")
+        b.parent_link(f"1-ffaa:0:{i}", f"1-ffaa:0:{i + 1}")
+    return b.build()
+
+
+def _chain_steps(topology, n_links):
+    steps = []
+    for i in range(1, n_links + 1):
+        link = topology.link_between(f"1-ffaa:0:{i}", f"1-ffaa:0:{i + 1}")[0]
+        steps.append(LinkTraversal(link=link, sender=ISDAS.parse(f"1-ffaa:0:{i}")))
+    return steps
+
+
+def _sequential_round_trip(net, steps, packet, send_times, starts, purpose):
+    """The reference: 2L ``transit_batch`` calls, one link step at a time,
+    each lane arriving at its send time plus the delay accumulated so far."""
+    n_links = len(steps)
+    delay_ms = np.zeros(send_times.size)
+    dropped = np.zeros(send_times.size, dtype=bool)
+    for j, step in enumerate(roundtrip_steps(steps)):
+        lo = starts[min(j, 2 * n_links - 1 - j)]
+        state = net.link_state(step.link)
+        step_ms, step_drop = state.transit_batch(
+            state.direction_from(step.sender),
+            packet.total_wire_bytes,
+            packet.fragments,
+            send_times[lo:] + delay_ms[lo:] / 1e3,
+            purpose=purpose,
+        )
+        delay_ms[lo:] += step_ms
+        dropped[lo:] |= step_drop
+    rtt = np.where(dropped, np.nan, delay_ms)
+    return np.where(rtt > net.config.probe_timeout_s * 1e3, np.nan, rtt)
+
+
+def _stream_states(net, steps, purpose):
+    """Bit-generator state of every noise stream the steps draw from."""
+    route = net.route(steps)
+    return [
+        half.noise(p).bit_generator.state
+        for half in route.round_trip
+        for p in {ECHO, purpose}
+    ]
+
+
+def _engine_and_reference(world, config, steps_of, episode, packet, run):
+    """(engine rtt, reference rtt, engine streams, reference streams)."""
+    nets = [NetworkSim(world, NetworkConfig(**config)) for _ in range(2)]
+    for net in nets:
+        if episode is not None:
+            k, start, length, loss, cap = episode
+            link = steps_of(net.topology)[k % len(steps_of(net.topology))].link
+            net.add_episode(
+                CongestionEpisode.on_links(
+                    [link], start, start + length, loss=loss, capacity_factor=cap
+                )
+            )
+    engine, reference = nets
+    steps = steps_of(world)
+    got, want, purpose = run(engine, reference, steps, packet)
+    return (
+        got, want,
+        _stream_states(engine, steps, purpose),
+        _stream_states(reference, steps, purpose),
+    )
+
+
+_WORLDS = st.one_of(
+    st.integers(min_value=1, max_value=6).map(
+        lambda n: (_chain_world(n), lambda topo, n=n: _chain_steps(topo, n))
+    ),
+    st.just((build_tiny_world(), _path_user_to_leaf)),
+)
+_EPISODES = st.none() | st.tuples(
+    st.integers(min_value=0, max_value=5),
+    st.floats(min_value=0.0, max_value=8.0),
+    st.floats(min_value=0.05, max_value=6.0),
+    st.sampled_from([0.3, 1.0]),
+    st.sampled_from([0.0, 0.5]),
+)
+
+
+class TestMatrixEngineEqualsSequentialReference:
+    """``probe_batch`` and ``probe_depths`` compute a batch as one
+    (2L steps × lanes) matrix; the sequential ``transit_batch`` loop
+    above is the reference they must match byte for byte."""
+
+    @given(
+        world=_WORLDS,
+        episode=_EPISODES,
+        count=st.integers(min_value=1, max_value=40),
+        interval_s=st.sampled_from([0.001, 0.05, 0.1, 0.37]),
+        t0_s=st.floats(min_value=0.0, max_value=12.0),
+        payload=st.sampled_from([16, 1472]),
+        step_s=st.sampled_from([0.25, 1.0]),
+        queue_scale_ms=st.sampled_from([0.8, 40.0]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_echo_series(
+        self, world, episode, count, interval_s, t0_s, payload, step_s,
+        queue_scale_ms, seed,
+    ):
+        topology, steps_of = world
+        config = dict(
+            seed=seed,
+            queue_scale_ms=queue_scale_ms,
+            utilization={
+                "core": UtilizationParams(mean=0.3, sigma=0.07, step_s=step_s / 2),
+                "parent": UtilizationParams(mean=0.5, sigma=0.2, step_s=step_s),
+            },
+        )
+        packet = PacketSpec(payload_bytes=payload, n_hops=5, n_segments=2)
+
+        def run(engine, reference, steps, packet):
+            got = engine.probe_batch(steps, packet, count, interval_s, t0_s).rtt_ms
+            send = t0_s + np.arange(count, dtype=np.float64) * interval_s
+            want = _sequential_round_trip(
+                reference, steps, packet, send, [0] * len(steps), ECHO
+            )
+            return got, want, ECHO
+
+        got, want, got_streams, want_streams = _engine_and_reference(
+            topology, config, steps_of, episode, packet, run
+        )
+        assert got.tobytes() == want.tobytes()
+        assert got_streams == want_streams
+
+    @given(
+        world=_WORLDS,
+        episode=_EPISODES,
+        lanes=st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=30),
+        interval_s=st.sampled_from([0.0, 0.001, 0.05]),
+        t0_s=st.floats(min_value=0.0, max_value=12.0),
+        purpose=st.sampled_from([TRACEROUTE, SHOWPATHS, "test"]),
+        queue_scale_ms=st.sampled_from([0.8, 40.0]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_depth_laned_probes(
+        self, world, episode, lanes, interval_s, t0_s, purpose, queue_scale_ms, seed
+    ):
+        topology, steps_of = world
+        n_links = len(steps_of(topology))
+        depths = sorted(min(d, n_links) for d in lanes)
+        config = dict(seed=seed, queue_scale_ms=queue_scale_ms)
+        packet = _packet()
+
+        def run(engine, reference, steps, packet):
+            got = engine.probe_depths(
+                steps, packet, depths, purpose=purpose,
+                interval_s=interval_s, t0_s=t0_s,
+            ).rtt_ms
+            send = t0_s + np.arange(len(depths), dtype=np.float64) * interval_s
+            starts = np.searchsorted(
+                depths, np.arange(1, n_links + 1), side="left"
+            ).tolist()
+            want = _sequential_round_trip(
+                reference, steps, packet, send, starts, purpose
+            )
+            return got, want, purpose
+
+        got, want, got_streams, want_streams = _engine_and_reference(
+            topology, config, steps_of, episode, packet, run
+        )
+        assert got.tobytes() == want.tobytes()
+        assert got_streams == want_streams
+
+    def test_lanes_crossing_a_cell_boundary_need_a_second_pass(self, monkeypatch):
+        """Queueing pushes lanes sent just before a utilization cell
+        boundary across it mid-path: their first-pass cells (guessed
+        from the unqueued delays) are wrong, the engine redoes them, and
+        the result still equals the sequential reference."""
+        passes = []
+        real = batch_mod._step_delays
+
+        def counting(network, route, fixed_ms, jitter, cells):
+            passes.append(cells.shape[1])
+            return real(network, route, fixed_ms, jitter, cells)
+
+        monkeypatch.setattr(batch_mod, "_step_delays", counting)
+        world = _chain_world(6)
+        config = dict(seed=3, queue_scale_ms=40.0)
+        packet = _packet()
+        engine, reference = (NetworkSim(world, NetworkConfig(**config)) for _ in "ab")
+        steps = _chain_steps(world, 6)
+        got = engine.probe_batch(steps, packet, 30, 0.002, 0.96).rtt_ms
+        send = 0.96 + np.arange(30, dtype=np.float64) * 0.002
+        want = _sequential_round_trip(reference, steps, packet, send, [0] * 6, ECHO)
+        assert len(passes) >= 2
+        assert passes[0] == 30 and 0 < passes[1] < 30  # only the movers redo
+        assert got.tobytes() == want.tobytes()
+
+    def test_route_is_resolved_once_per_path(self):
+        host = ScionHost.scionlab(seed=7)
+        path = host.paths("16-ffaa:0:1002", max_paths=1)[0]
+        route = path.route(host.network)
+        assert path.route(host.network) is route
+        assert route.reversed().reversed() is route
+        assert len(route.forward) == len(route.back) == path.n_links
+        for fwd, back in zip(route.forward, reversed(route.back)):
+            assert back.state is fwd.state and back.direction is not fwd.direction
 
 
 # -- goldens, determinism and stream isolation -----------------------------------
@@ -614,7 +844,7 @@ class TestValuesAt:
         steps = _path_user_to_leaf(net.topology)
         state = net.link_state(steps[0].link)
         direction = state.direction_from(steps[0].sender)
-        proc = state._util[direction]
+        proc = state.half(direction).util
         times = np.array([7.3, 0.4, 99.0, 12.8, 0.4])
         vector = proc.values_at(times)
         scalars = np.array([proc.value_at(float(t)) for t in times])
@@ -624,6 +854,6 @@ class TestValuesAt:
         net = _fresh_net(7)
         steps = _path_user_to_leaf(net.topology)
         state = net.link_state(steps[0].link)
-        proc = state._util[LinkDirection.A_TO_B]
+        proc = state.half(LinkDirection.A_TO_B).util
         with pytest.raises(ValidationError):
             proc.values_at(np.array([-1.0]))

@@ -28,7 +28,9 @@ def main() -> None:
     iterations = int(sys.argv[1]) if len(sys.argv) > 1 else 5
     db_dir = sys.argv[2] if len(sys.argv) > 2 else None
 
-    client = DocDBClient()
+    # With a db-dir, every write goes through the write-ahead log and the
+    # run ends with a checkpoint; reopen the directory with DocDBClient.open.
+    client = DocDBClient.open(db_dir, fsync="never") if db_dir else DocDBClient()
     db = client["upin"]
     print(f"seeded {seed_servers(db)} available servers")
 
@@ -84,7 +86,8 @@ def main() -> None:
     ))
 
     if db_dir:
-        client.save_to(db_dir)
+        client.checkpoint()
+        client.close()
         print(f"\ndatabase persisted under {db_dir}")
 
 

@@ -11,6 +11,7 @@ client->server parameters; ``-sc`` defaults to the same (§5.3).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Tuple
 
 from repro.errors import (
@@ -40,8 +41,16 @@ class BwtestParams:
     target: Bandwidth
 
 
+@lru_cache(maxsize=256)
 def parse_bwtest_params(text: str, *, mtu: int = 1472) -> BwtestParams:
-    """Parse and resolve a ``duration,size,packets,bandwidth`` string."""
+    """Parse and resolve a ``duration,size,packets,bandwidth`` string.
+
+    Memoized: a campaign runs the same few ``(text, mtu)`` pairs on
+    every bandwidth test, and the result is a frozen dataclass.  The
+    bound keeps arbitrary input from growing the memo without limit;
+    ``lru_cache`` does not cache a call that raised, so invalid text
+    always raises.
+    """
     parts = [p.strip() for p in str(text).split(",")]
     if len(parts) != 4:
         raise ParseError(f"bwtest parameters need 4 fields: {text!r}")

@@ -69,8 +69,8 @@ def freeze(obj: Any) -> Optional[Hashable]:
 class QueryCache:
     """Bounded (LRU), epoch-invalidated result cache.
 
-    Not internally locked: the owning :class:`~repro.docdb.collection.
-    Collection` serialises access under its own RLock.
+    Not locked: like the owning :class:`~repro.docdb.collection.
+    Collection`, it is used from one thread at a time.
     """
 
     def __init__(self, *, capacity: int = 256) -> None:

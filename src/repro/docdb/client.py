@@ -4,26 +4,21 @@ The test-suite scripts of the paper talk to MongoDB through a client
 object; keeping the same shape (``client[db][collection]``) means the
 reproduction's suite code reads like the original scripts.
 
-Two persistence modes:
-
-* **volatile + snapshots** (the seed behaviour): ``DocDBClient()`` with
-  explicit :meth:`save_to` / :meth:`load_from` — a crash loses
-  everything since the last snapshot;
-* **durable** (this PR): :meth:`DocDBClient.open` recovers the
-  directory (snapshot generation + WAL replay) and attaches a
-  segmented, checksummed write-ahead log so every mutating operation
-  journals itself automatically.  ``checkpoint()`` / ``compact()``
-  bound WAL growth; ``close()`` seals the log.  See docs/STORAGE.md.
+``DocDBClient()`` is a volatile in-memory store.  The one persistence
+mechanism is :meth:`DocDBClient.open`: it recovers the directory
+(checkpoint generation + WAL replay) and attaches a segmented,
+checksummed write-ahead log so every mutating operation journals itself
+automatically.  ``checkpoint()`` / ``compact()`` bound WAL growth;
+``close()`` seals the log.  The store is single-threaded: it takes no
+locks, and one thread owns a client at a time.  See docs/STORAGE.md.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 from typing import Any, Dict, List, Optional
 
 from repro.docdb.database import Database
-from repro.docdb.storage import JsonlStore
 from repro.docdb.wal import OP_DROP_DATABASE, WalWriter
 
 
@@ -32,7 +27,6 @@ class DocDBClient:
 
     def __init__(self) -> None:
         self._databases: Dict[str, Database] = {}
-        self._lock = threading.RLock()
         #: Durable-mode state (None/absent when volatile).
         self._wal: Optional[WalWriter] = None
         self._durable_dir: Optional[str] = None
@@ -78,10 +72,9 @@ class DocDBClient:
         return client
 
     def _attach_wal(self, wal: Optional[WalWriter]) -> None:
-        with self._lock:
-            self._wal = wal
-            for db in self._databases.values():
-                db.attach_wal(wal)
+        self._wal = wal
+        for db in self._databases.values():
+            db.attach_wal(wal)
 
     @property
     def wal(self) -> Optional[WalWriter]:
@@ -106,21 +99,19 @@ class DocDBClient:
         from repro.docdb.recovery import run_checkpoint
 
         result = run_checkpoint(self)
-        with self._lock:
-            if not result.skipped:
-                self._checkpoints += 1
-            self._segments_removed += result.segments_removed
-            self._generations_removed += result.generations_removed
+        if not result.skipped:
+            self._checkpoints += 1
+        self._segments_removed += result.segments_removed
+        self._generations_removed += result.generations_removed
         return result
 
     def compact(self) -> Any:
-        """Background-safe compaction: checkpoint only if the WAL grew.
+        """Compaction: checkpoint only if the WAL grew.
 
         Cheap when idle (pure GC), a full checkpoint otherwise — this is
         the hook the monitoring scheduler calls between rounds.
         """
-        with self._lock:
-            self._compactions += 1
+        self._compactions += 1
         return self.checkpoint()
 
     def compaction_hook(self, *, every: int = 1):
@@ -188,37 +179,17 @@ class DocDBClient:
     # -- databases ---------------------------------------------------------------
 
     def database(self, name: str) -> Database:
-        with self._lock:
-            db = self._databases.get(name)
-            if db is None:
-                db = Database(name, wal=self._wal)
-                self._databases[name] = db
-            return db
+        db = self._databases.get(name)
+        if db is None:
+            db = Database(name, wal=self._wal)
+            self._databases[name] = db
+        return db
 
     __getitem__ = database
 
     def list_database_names(self) -> List[str]:
-        with self._lock:
-            return sorted(self._databases)
+        return sorted(self._databases)
 
     def drop_database(self, name: str) -> None:
-        with self._lock:
-            if self._databases.pop(name, None) is not None and self._wal is not None:
-                self._wal.append(OP_DROP_DATABASE, name, None, {})
-
-    # -- persistence convenience ------------------------------------------------
-
-    def save_to(self, directory: str) -> None:
-        """Snapshot every database under ``directory`` (JSONL files)."""
-        store = JsonlStore(directory)
-        for name in self.list_database_names():
-            store.save_database(self.database(name))
-
-    @classmethod
-    def load_from(cls, directory: str) -> "DocDBClient":
-        """Restore a client from a snapshot directory."""
-        client = cls()
-        store = JsonlStore(directory)
-        for db_name in store.list_databases():
-            store.load_database(client.database(db_name))
-        return client
+        if self._databases.pop(name, None) is not None and self._wal is not None:
+            self._wal.append(OP_DROP_DATABASE, name, None, {})

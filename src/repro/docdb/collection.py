@@ -1,12 +1,11 @@
 """Collections: the Mongo-like document container.
 
-Thread-safe (one RLock per collection, so clients that share a store
-from several threads never interleave a mutation), with indexes over
-one or more fields (:class:`~repro.docdb.index.Index`), a cost-based
-query planner (:mod:`repro.docdb.planner`), an LRU query-result cache
-with epoch-based invalidation (:mod:`repro.docdb.cache`), and an
-optional document validator hook used by the signed statistics
-pipeline (§4.1.4).
+Single-threaded (no locks: one thread owns a store at a time), with
+indexes over one or more fields (:class:`~repro.docdb.index.Index`), a
+cost-based query planner (:mod:`repro.docdb.planner`), an LRU
+query-result cache with epoch-based invalidation
+(:mod:`repro.docdb.cache`), and an optional document validator hook
+used by the signed statistics pipeline (§4.1.4).
 
 Write/epoch contract (the cache-invalidation backbone):
 
@@ -46,7 +45,6 @@ Query statistics (``Collection.stats``):
 from __future__ import annotations
 
 import copy
-import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -137,7 +135,6 @@ class Collection:
         self.name = name
         self._docs: Dict[Any, Dict[str, Any]] = {}
         self._indexes: Dict[str, Index] = {}
-        self._lock = threading.RLock()
         #: Optional hook run on every inserted or replacement document; raise to
         #: reject the write (used for signature verification).
         self.validator: Optional[Callable[[Dict[str, Any]], None]] = None
@@ -157,8 +154,8 @@ class Collection:
         #: Write-ahead-log sink, wired by :meth:`Database.attach_wal`
         #: when the owning client is opened durable.  Called as
         #: ``sink(op, payload)`` after every successful in-memory
-        #: mutation (still under the collection lock) — the WAL append
-        #: is the operation's commit point.  ``None`` = volatile mode.
+        #: mutation — the WAL append is the operation's commit point.
+        #: ``None`` = volatile mode.
         self._wal_sink: Optional[Callable[[str, Dict[str, Any]], None]] = None
 
     # -- epoch / cache invalidation ---------------------------------------------
@@ -180,10 +177,9 @@ class Collection:
     # -- inserts ----------------------------------------------------------------
 
     def insert_one(self, doc: Dict[str, Any]) -> InsertOneResult:
-        with self._lock:
-            stored = self._insert(doc)
-            self._bump_epoch()
-            return InsertOneResult(inserted_id=stored["_id"])
+        stored = self._insert(doc)
+        self._bump_epoch()
+        return InsertOneResult(inserted_id=stored["_id"])
 
     def insert_many(self, docs: Iterable[Dict[str, Any]]) -> InsertManyResult:
         """Insert a batch atomically: either all documents land or none.
@@ -194,25 +190,24 @@ class Collection:
         so cached selection queries are invalidated once per flush, not
         once per document.
         """
-        with self._lock:
-            prepared = [normalize_document(d) for d in docs]
-            ids = [d["_id"] for d in prepared]
-            if len(set(ids)) != len(ids):
-                raise DuplicateKeyError(f"duplicate _id inside batch for {self.name}")
-            for d in prepared:
-                if d["_id"] in self._docs:
-                    raise DuplicateKeyError(f"duplicate _id: {d['_id']!r}")
-                if self.validator is not None:
-                    self.validator(d)
-            for d in prepared:
-                self._commit_insert(d)
-            if prepared:
-                self._bump_epoch()
-                # One batch = one WAL record = one atomic unit: recovery
-                # either replays the whole flush or rolls it back
-                # (§4.2.2's all-or-nothing destination batch).
-                self._emit_wal(OP_INSERT_MANY, {"documents": prepared})
-            return InsertManyResult(inserted_ids=tuple(ids))
+        prepared = [normalize_document(d) for d in docs]
+        ids = [d["_id"] for d in prepared]
+        if len(set(ids)) != len(ids):
+            raise DuplicateKeyError(f"duplicate _id inside batch for {self.name}")
+        for d in prepared:
+            if d["_id"] in self._docs:
+                raise DuplicateKeyError(f"duplicate _id: {d['_id']!r}")
+            if self.validator is not None:
+                self.validator(d)
+        for d in prepared:
+            self._commit_insert(d)
+        if prepared:
+            self._bump_epoch()
+            # One batch = one WAL record = one atomic unit: recovery
+            # either replays the whole flush or rolls it back
+            # (§4.2.2's all-or-nothing destination batch).
+            self._emit_wal(OP_INSERT_MANY, {"documents": prepared})
+        return InsertManyResult(inserted_ids=tuple(ids))
 
     def load_documents(self, docs: Iterable[Dict[str, Any]]) -> int:
         """Bulk-load freshly-parsed documents (snapshot load, WAL replay).
@@ -224,21 +219,20 @@ class Collection:
         reconstruct state that is already durable; re-journalling it
         would double the log).  Returns the number of documents loaded.
         """
-        with self._lock:
-            prepared = [normalize_document(d, deep_copy=False) for d in docs]
-            ids = [d["_id"] for d in prepared]
-            if len(set(ids)) != len(ids):
-                raise DuplicateKeyError(f"duplicate _id inside batch for {self.name}")
-            for d in prepared:
-                if d["_id"] in self._docs:
-                    raise DuplicateKeyError(f"duplicate _id: {d['_id']!r}")
-                if self.validator is not None:
-                    self.validator(d)
-            for d in prepared:
-                self._commit_insert(d)
-            if prepared:
-                self._bump_epoch()
-            return len(prepared)
+        prepared = [normalize_document(d, deep_copy=False) for d in docs]
+        ids = [d["_id"] for d in prepared]
+        if len(set(ids)) != len(ids):
+            raise DuplicateKeyError(f"duplicate _id inside batch for {self.name}")
+        for d in prepared:
+            if d["_id"] in self._docs:
+                raise DuplicateKeyError(f"duplicate _id: {d['_id']!r}")
+            if self.validator is not None:
+                self.validator(d)
+        for d in prepared:
+            self._commit_insert(d)
+        if prepared:
+            self._bump_epoch()
+        return len(prepared)
 
     def _insert(self, doc: Dict[str, Any]) -> Dict[str, Any]:
         stored = normalize_document(doc)
@@ -290,24 +284,23 @@ class Collection:
         flt = flt or {}
         sort_key = tuple((f, d) for f, d in sort) if sort else None
         cache_key = freeze(("find", flt, sort_key, limit, skip))
-        with self._lock:
-            epoch = self._epoch
-            if cache_key is not None:
-                cached = self.cache.get(cache_key, epoch)
-                if cached is not None:
-                    self.stats["cache_hits"] += 1
-                    return cached
-                self.stats["cache_misses"] += 1
-            out = self._execute_filter(flt)
-            if sort:
-                out = _sorted_docs(out, sort)
-            if skip:
-                out = out[skip:]
-            if limit:
-                out = out[:limit]
-            if cache_key is not None:
-                self.cache.put(cache_key, epoch, out)
-            return out
+        epoch = self._epoch
+        if cache_key is not None:
+            cached = self.cache.get(cache_key, epoch)
+            if cached is not None:
+                self.stats["cache_hits"] += 1
+                return cached
+            self.stats["cache_misses"] += 1
+        out = self._execute_filter(flt)
+        if sort:
+            out = _sorted_docs(out, sort)
+        if skip:
+            out = out[skip:]
+        if limit:
+            out = out[:limit]
+        if cache_key is not None:
+            self.cache.put(cache_key, epoch, out)
+        return out
 
     def find_one(
         self,
@@ -320,21 +313,20 @@ class Collection:
 
     def count_documents(self, flt: Optional[Dict[str, Any]] = None) -> int:
         flt = flt or {}
-        with self._lock:
-            if not flt:
-                return len(self._docs)
-            cache_key = freeze(("count", flt))
-            epoch = self._epoch
-            if cache_key is not None:
-                cached = self.cache.get(cache_key, epoch)
-                if cached is not None:
-                    self.stats["cache_hits"] += 1
-                    return cached
-                self.stats["cache_misses"] += 1
-            n = len(self._execute_filter(flt))
-            if cache_key is not None:
-                self.cache.put(cache_key, epoch, n)
-            return n
+        if not flt:
+            return len(self._docs)
+        cache_key = freeze(("count", flt))
+        epoch = self._epoch
+        if cache_key is not None:
+            cached = self.cache.get(cache_key, epoch)
+            if cached is not None:
+                self.stats["cache_hits"] += 1
+                return cached
+            self.stats["cache_misses"] += 1
+        n = len(self._execute_filter(flt))
+        if cache_key is not None:
+            self.cache.put(cache_key, epoch, n)
+        return n
 
     def distinct(self, field_path: str, flt: Optional[Dict[str, Any]] = None) -> List[Any]:
         seen: List[Any] = []
@@ -353,10 +345,9 @@ class Collection:
     def _execute_filter(self, flt: Dict[str, Any]) -> List[Dict[str, Any]]:
         """Plan, fetch candidates, apply the residual filter, count stats.
 
-        Must be called under ``self._lock``.  ``scans`` counts only full
-        collection scans; index-answered queries count ``index_hits``;
-        ``docs_examined`` counts documents actually materialised — the
-        numbers ``explain()`` reports.
+        ``scans`` counts only full collection scans; index-answered
+        queries count ``index_hits``; ``docs_examined`` counts documents
+        actually materialised — the numbers ``explain()`` reports.
         """
         outcome = self._planner.plan(flt)
         return self._run_plan(outcome.winning, flt)
@@ -383,32 +374,31 @@ class Collection:
         ``docs_examined`` counter in :attr:`stats`).
         """
         flt = flt or {}
-        with self._lock:
-            self.stats["explains"] += 1
-            outcome: PlanOutcome = self._planner.plan(flt)
-            docs_before = self.stats["docs_examined"]
-            results = self._run_plan(outcome.winning, flt)
-            examined = self.stats["docs_examined"] - docs_before
-            return {
-                "namespace": self.name,
-                "filter": copy.deepcopy(flt),
-                "plannerVersion": 1,
-                "winningPlan": {
-                    "stage": STAGE_FILTER,
-                    "inputStage": outcome.winning.stage_document(),
-                },
-                "rejectedPlans": [
-                    {"stage": STAGE_FILTER, "inputStage": p.stage_document()}
-                    for p in outcome.rejected
-                ],
-                "executionStats": {
-                    "nReturned": len(results),
-                    "docsExamined": examined,
-                    "totalDocsInCollection": len(self._docs),
-                },
-                "cache": self.cache.info(),
-                "epoch": self._epoch,
-            }
+        self.stats["explains"] += 1
+        outcome: PlanOutcome = self._planner.plan(flt)
+        docs_before = self.stats["docs_examined"]
+        results = self._run_plan(outcome.winning, flt)
+        examined = self.stats["docs_examined"] - docs_before
+        return {
+            "namespace": self.name,
+            "filter": copy.deepcopy(flt),
+            "plannerVersion": 1,
+            "winningPlan": {
+                "stage": STAGE_FILTER,
+                "inputStage": outcome.winning.stage_document(),
+            },
+            "rejectedPlans": [
+                {"stage": STAGE_FILTER, "inputStage": p.stage_document()}
+                for p in outcome.rejected
+            ],
+            "executionStats": {
+                "nReturned": len(results),
+                "docsExamined": examined,
+                "totalDocsInCollection": len(self._docs),
+            },
+            "cache": self.cache.info(),
+            "epoch": self._epoch,
+        }
 
     # -- replacement ---------------------------------------------------------------------
 
@@ -425,29 +415,28 @@ class Collection:
         new_doc = normalize_document(replacement, ensure_id=False)
         if is_update_document(new_doc):
             raise QueryError("replacement document cannot contain operators")
-        with self._lock:
-            for doc in self._execute_filter(flt):
-                new_doc["_id"] = doc["_id"]
-                if new_doc == doc:
-                    return UpdateResult(1, 0)
-                if self.validator is not None:
-                    self.validator(new_doc)
-                self._replace_committed(doc, new_doc)
-                self._bump_epoch()
-                # Physiological logging: the WAL stores the resulting
-                # document, so replay never re-runs the filter.
-                self._emit_wal(OP_UPDATE, {"docs": [new_doc]})
-                return UpdateResult(1, 1)
-            if upsert:
-                seed = {
-                    k: v
-                    for k, v in flt.items()
-                    if not k.startswith("$") and not isinstance(v, dict)
-                }
-                stored = self._insert({**seed, **new_doc})
-                self._bump_epoch()
-                return UpdateResult(0, 0, upserted_id=stored["_id"])
-            return UpdateResult(0, 0)
+        for doc in self._execute_filter(flt):
+            new_doc["_id"] = doc["_id"]
+            if new_doc == doc:
+                return UpdateResult(1, 0)
+            if self.validator is not None:
+                self.validator(new_doc)
+            self._replace_committed(doc, new_doc)
+            self._bump_epoch()
+            # Physiological logging: the WAL stores the resulting
+            # document, so replay never re-runs the filter.
+            self._emit_wal(OP_UPDATE, {"docs": [new_doc]})
+            return UpdateResult(1, 1)
+        if upsert:
+            seed = {
+                k: v
+                for k, v in flt.items()
+                if not k.startswith("$") and not isinstance(v, dict)
+            }
+            stored = self._insert({**seed, **new_doc})
+            self._bump_epoch()
+            return UpdateResult(0, 0, upserted_id=stored["_id"])
+        return UpdateResult(0, 0)
 
     def _replace_committed(self, old: Dict[str, Any], new: Dict[str, Any]) -> None:
         for index in self._indexes.values():
@@ -465,18 +454,17 @@ class Collection:
         return self._delete(flt or {}, multi=True)
 
     def _delete(self, flt: Dict[str, Any], *, multi: bool) -> DeleteResult:
-        with self._lock:
-            victims = self._execute_filter(flt)
-            if not multi:
-                victims = victims[:1]
-            for doc in victims:
-                del self._docs[doc["_id"]]
-                for index in self._indexes.values():
-                    index.remove(doc)
-            if victims:
-                self._bump_epoch()
-                self._emit_wal(OP_DELETE, {"ids": [d["_id"] for d in victims]})
-            return DeleteResult(deleted_count=len(victims))
+        victims = self._execute_filter(flt)
+        if not multi:
+            victims = victims[:1]
+        for doc in victims:
+            del self._docs[doc["_id"]]
+            for index in self._indexes.values():
+                index.remove(doc)
+        if victims:
+            self._bump_epoch()
+            self._emit_wal(OP_DELETE, {"ids": [d["_id"] for d in victims]})
+        return DeleteResult(deleted_count=len(victims))
 
     # -- indexes --------------------------------------------------------------------------------
 
@@ -492,18 +480,17 @@ class Collection:
         """
         fields = _normalize_index_spec(spec)
         name = _index_name(fields)
-        with self._lock:
-            if name not in self._indexes:
-                index = Index([f for f, _ in fields], unique=unique)
-                for doc in self._docs.values():
-                    index.add(doc)
-                self._indexes[name] = index
-                self._bump_epoch()  # plans change; drop cached decisions
-                self._emit_wal(
-                    OP_CREATE_INDEX,
-                    {"fields": [[f, d] for f, d in fields], "unique": unique},
-                )
-            return name
+        if name not in self._indexes:
+            index = Index([f for f, _ in fields], unique=unique)
+            for doc in self._docs.values():
+                index.add(doc)
+            self._indexes[name] = index
+            self._bump_epoch()  # plans change; drop cached decisions
+            self._emit_wal(
+                OP_CREATE_INDEX,
+                {"fields": [[f, d] for f, d in fields], "unique": unique},
+            )
+        return name
 
     def drop_index(self, spec: IndexSpec) -> None:
         """Drop an index by name or by the spec used to create it."""
@@ -511,21 +498,19 @@ class Collection:
             name = spec
         else:
             name = _index_name(_normalize_index_spec(spec))
-        with self._lock:
-            if self._indexes.pop(name, None) is not None:
-                self._bump_epoch()
-                self._emit_wal(OP_DROP_INDEX, {"name": name})
+        if self._indexes.pop(name, None) is not None:
+            self._bump_epoch()
+            self._emit_wal(OP_DROP_INDEX, {"name": name})
 
     def index_information(self) -> Dict[str, Dict[str, Any]]:
         """Index metadata: ``{name: {"fields": [(path, 1), ...], "unique"}}``."""
-        with self._lock:
-            return {
-                name: {
-                    "fields": [(f, 1) for f in index.fields],
-                    "unique": index.unique,
-                }
-                for name, index in sorted(self._indexes.items())
+        return {
+            name: {
+                "fields": [(f, 1) for f in index.fields],
+                "unique": index.unique,
             }
+            for name, index in sorted(self._indexes.items())
+        }
 
     # -- WAL replay (recovery-only entry points) ----------------------------------------------------
 
@@ -537,36 +522,34 @@ class Collection:
         RecoveryManager` calls this; a missing target means the log
         diverged from the snapshot and is surfaced as corruption.
         """
-        with self._lock:
-            for new_doc in docs:
-                old = self._docs.get(new_doc["_id"])
-                if old is None:
-                    raise StorageError(
-                        f"WAL replay: update targets unknown _id "
-                        f"{new_doc['_id']!r} in collection {self.name!r}"
-                    )
-                self._replace_committed(old, copy.deepcopy(new_doc))
-            if docs:
-                self._bump_epoch()
-                self._emit_wal(OP_UPDATE, {"docs": list(docs)})
+        for new_doc in docs:
+            old = self._docs.get(new_doc["_id"])
+            if old is None:
+                raise StorageError(
+                    f"WAL replay: update targets unknown _id "
+                    f"{new_doc['_id']!r} in collection {self.name!r}"
+                )
+            self._replace_committed(old, copy.deepcopy(new_doc))
+        if docs:
+            self._bump_epoch()
+            self._emit_wal(OP_UPDATE, {"docs": list(docs)})
 
     def replay_delete(self, ids: Sequence[Any]) -> None:
         """Re-apply an ``OP_DELETE`` record (delete by logged ids)."""
-        with self._lock:
-            removed = []
-            for _id in ids:
-                doc = self._docs.pop(_id, None)
-                if doc is None:
-                    raise StorageError(
-                        f"WAL replay: delete targets unknown _id {_id!r} "
-                        f"in collection {self.name!r}"
-                    )
-                for index in self._indexes.values():
-                    index.remove(doc)
-                removed.append(_id)
-            if removed:
-                self._bump_epoch()
-                self._emit_wal(OP_DELETE, {"ids": removed})
+        removed = []
+        for _id in ids:
+            doc = self._docs.pop(_id, None)
+            if doc is None:
+                raise StorageError(
+                    f"WAL replay: delete targets unknown _id {_id!r} "
+                    f"in collection {self.name!r}"
+                )
+            for index in self._indexes.values():
+                index.remove(doc)
+            removed.append(_id)
+        if removed:
+            self._bump_epoch()
+            self._emit_wal(OP_DELETE, {"ids": removed})
 
     # -- aggregation --------------------------------------------------------------------------------
 
@@ -584,29 +567,27 @@ class Collection:
         from repro.docdb.aggregate import run_pipeline, split_leading_match
 
         cache_key = freeze(("aggregate", pipeline))
-        with self._lock:
-            epoch = self._epoch
-            if cache_key is not None:
-                cached = self.cache.get(cache_key, epoch)
-                if cached is not None:
-                    self.stats["cache_hits"] += 1
-                    return json_deepcopy(cached)
-                self.stats["cache_misses"] += 1
-            match, rest = split_leading_match(pipeline)
-            # The stages build new lists and group documents but never
-            # edit their inputs, so they run over the stored documents;
-            # the result may share their values until the copy below.
-            out = run_pipeline(self._find_stored(match), rest)
-            if cache_key is not None:
-                self.cache.put(cache_key, epoch, out)
+        epoch = self._epoch
+        if cache_key is not None:
+            cached = self.cache.get(cache_key, epoch)
+            if cached is not None:
+                self.stats["cache_hits"] += 1
+                return json_deepcopy(cached)
+            self.stats["cache_misses"] += 1
+        match, rest = split_leading_match(pipeline)
+        # The stages build new lists and group documents but never
+        # edit their inputs, so they run over the stored documents;
+        # the result may share their values until the copy below.
+        out = run_pipeline(self._find_stored(match), rest)
+        if cache_key is not None:
+            self.cache.put(cache_key, epoch, out)
         return json_deepcopy(out)
 
     # -- misc -------------------------------------------------------------------------------------------
 
     def all_documents(self) -> List[Dict[str, Any]]:
         """Snapshot of every document (deep copies), in insertion order."""
-        with self._lock:
-            return [json_deepcopy(d) for d in self._docs.values()]
+        return [json_deepcopy(d) for d in self._docs.values()]
 
     def __len__(self) -> int:
         return len(self._docs)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import threading
 from typing import Dict, List, Optional
 
 from repro.docdb.collection import Collection
@@ -23,17 +22,15 @@ class Database:
     def __init__(self, name: str, *, wal: Optional[WalWriter] = None) -> None:
         self.name = name
         self._collections: Dict[str, Collection] = {}
-        self._lock = threading.RLock()
         self._wal: Optional[WalWriter] = wal
 
     # -- durability ----------------------------------------------------------
 
     def attach_wal(self, wal: Optional[WalWriter]) -> None:
         """Route this database's writes through ``wal`` (None detaches)."""
-        with self._lock:
-            self._wal = wal
-            for name, coll in self._collections.items():
-                coll._wal_sink = self._make_sink(name) if wal is not None else None
+        self._wal = wal
+        for name, coll in self._collections.items():
+            coll._wal_sink = self._make_sink(name) if wal is not None else None
 
     def _make_sink(self, coll_name: str):
         def sink(op: str, payload: Dict) -> None:
@@ -47,31 +44,25 @@ class Database:
     def collection(self, name: str) -> Collection:
         if not name or name.startswith("$"):
             raise DocDBError(f"invalid collection name: {name!r}")
-        with self._lock:
-            coll = self._collections.get(name)
-            if coll is None:
-                coll = Collection(name)
-                if self._wal is not None:
-                    coll._wal_sink = self._make_sink(name)
-                self._collections[name] = coll
-            return coll
+        coll = self._collections.get(name)
+        if coll is None:
+            coll = Collection(name)
+            if self._wal is not None:
+                coll._wal_sink = self._make_sink(name)
+            self._collections[name] = coll
+        return coll
 
     __getitem__ = collection
 
     def list_collection_names(self) -> List[str]:
-        with self._lock:
-            return sorted(self._collections)
+        return sorted(self._collections)
 
     def drop_collection(self, name: str) -> None:
-        with self._lock:
-            if self._collections.pop(name, None) is not None and self._wal is not None:
-                self._wal.append(OP_DROP_COLLECTION, self.name, name, {})
+        if self._collections.pop(name, None) is not None and self._wal is not None:
+            self._wal.append(OP_DROP_COLLECTION, self.name, name, {})
 
     def __contains__(self, name: str) -> bool:
-        # Locked like every other accessor: membership must observe a
-        # consistent view while another thread creates a collection.
-        with self._lock:
-            return name in self._collections
+        return name in self._collections
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Database({self.name!r}, collections={self.list_collection_names()})"

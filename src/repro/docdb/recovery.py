@@ -199,6 +199,8 @@ class RecoveryManager:
 
         os.makedirs(self.directory, exist_ok=True)
         checkpoint = read_checkpoint(self.directory)
+        if checkpoint.generation is None:
+            self._refuse_old_layout()
         report = RecoveryReport(
             directory=self.directory,
             checkpoint_lsn=checkpoint.checkpoint_lsn,
@@ -223,6 +225,21 @@ class RecoveryManager:
         self._replay_wal(client, checkpoint.checkpoint_lsn, report)
         self._rebuild_caches(client, report)
         return client, report
+
+    def _refuse_old_layout(self) -> None:
+        """Raise on ``<db>.<coll>.jsonl`` files at the top level.
+
+        That is the layout of the removed snapshot mode.  Opening such a
+        directory empty would let the next checkpoint hide its data.
+        """
+        stale = sorted(
+            name for name in os.listdir(self.directory) if name.endswith(".jsonl")
+        )
+        if stale:
+            raise StorageError(
+                f"{self.directory} holds a snapshot in the old layout "
+                f"({stale[0]}) and no checkpoint; refusing to open it empty"
+            )
 
     # -- WAL replay ----------------------------------------------------------
 

@@ -1,17 +1,19 @@
-"""Persistence: JSONL snapshots.
+"""The checkpoint-generation file format: one JSONL file per collection.
 
-:class:`JsonlStore` writes full snapshots, one
-``<db>.<collection>.jsonl`` file per collection.  Database names must
-not contain ``.`` (the separator between database and collection in
-the filename); dotted names are rejected with
+:class:`JsonlStore` writes and reads the files of one snapshot
+generation (``<dir>/snapshots/gen-<lsn>/``), one
+``<db>.<collection>.jsonl`` file per collection.  Only
+:mod:`repro.docdb.recovery` uses it: :func:`~repro.docdb.recovery.
+run_checkpoint` writes each generation into a fresh directory, and
+recovery loads the generation that ``CHECKPOINT`` names.  Database
+names must not contain ``.`` (the separator between database and
+collection in the filename); dotted names are rejected with
 :class:`~repro.errors.StorageError` instead of silently corrupting
 ``list_databases()``.
 
-Durability between snapshots comes from the checksummed segmented WAL
-(:mod:`repro.docdb.wal`), wired automatically by
-:meth:`repro.docdb.client.DocDBClient.open` and recovered by
-:mod:`repro.docdb.recovery` — see docs/STORAGE.md.  It closes the
-§4.2.2 trade-off (batched inserts risk losing a destination's worth of
+Durability between checkpoints comes from the checksummed segmented WAL
+(:mod:`repro.docdb.wal`) — see docs/STORAGE.md.  It closes the §4.2.2
+trade-off (batched inserts risk losing a destination's worth of
 samples on a crash): one batch is one atomic WAL record.
 """
 from __future__ import annotations
@@ -27,7 +29,7 @@ _SNAPSHOT_SUFFIX = ".jsonl"
 
 
 class JsonlStore:
-    """Snapshot persistence for whole databases."""
+    """Reads and writes one snapshot generation of whole databases."""
 
     def __init__(self, directory: str) -> None:
         self.directory = directory
@@ -68,12 +70,6 @@ class JsonlStore:
                 for doc in coll.all_documents():
                     fh.write(json.dumps(doc, sort_keys=True) + "\n")
             os.replace(tmp, self._path(db.name, coll_name))
-        # Collections dropped since the last snapshot must not leave
-        # stale ``.jsonl`` files behind — reloading would resurrect them.
-        live = set(db.list_collection_names())
-        for coll_name in self._collections_of(db.name):
-            if coll_name not in live:
-                os.remove(self._path(db.name, coll_name))
 
     def list_databases(self) -> List[str]:
         names = set()
@@ -121,10 +117,7 @@ class JsonlStore:
                 # output, so the defensive deep-copy is skipped.
                 coll.load_documents(docs)
             for spec in header.get("__meta__", {}).get("indexes", []):
-                if isinstance(spec, str):  # legacy snapshot: bare path
-                    coll.create_index(spec)
-                else:
-                    coll.create_index(
-                        [(f, int(d)) for f, d in spec["fields"]],
-                        unique=bool(spec.get("unique", False)),
-                    )
+                coll.create_index(
+                    [(f, int(d)) for f, d in spec["fields"]],
+                    unique=bool(spec.get("unique", False)),
+                )

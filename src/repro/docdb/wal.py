@@ -56,7 +56,6 @@ import json
 import os
 import re
 import struct
-import threading
 import zlib
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -248,12 +247,7 @@ CrashHook = Callable[[str, "WalWriter", int, bytes], None]
 
 
 class WalWriter:
-    """Appender for the segmented WAL.
-
-    Thread-safe via an internal lock; collections call :meth:`append`
-    while holding their own lock (lock order collection → WAL, and the
-    WAL never calls back into collections, so no cycles).
-    """
+    """Appender for the segmented WAL (single-threaded, like the store)."""
 
     def __init__(
         self,
@@ -278,7 +272,6 @@ class WalWriter:
         self.segment_bytes = segment_bytes
         self.batch_every = batch_every
         self.crash_hook: Optional[CrashHook] = None
-        self._lock = threading.RLock()
         self._next_lsn = start_lsn
         self._unsynced = 0
         self._closed = False
@@ -303,15 +296,14 @@ class WalWriter:
 
     def close(self) -> None:
         """Flush, fsync (unless policy ``never``) and close the writer."""
-        with self._lock:
-            if self._closed:
-                return
-            self._fh.flush()
-            if self.fsync_policy != "never":
-                os.fsync(self._fh.fileno())
-                self.stats["fsyncs"] += 1
-            self._fh.close()
-            self._closed = True
+        if self._closed:
+            return
+        self._fh.flush()
+        if self.fsync_policy != "never":
+            os.fsync(self._fh.fileno())
+            self.stats["fsyncs"] += 1
+        self._fh.close()
+        self._closed = True
 
     def __enter__(self) -> "WalWriter":
         return self
@@ -342,33 +334,32 @@ class WalWriter:
         """
         if op not in WAL_OPS:
             raise StorageError(f"unknown WAL op: {op!r}")
-        with self._lock:
-            if self._closed:
-                raise StorageError("WAL writer is closed")
-            lsn = self._next_lsn
-            data = encode_record(
-                WalRecord(lsn=lsn, op=op, db=db, coll=coll, payload=payload)
-            )
-            if self._size >= self.segment_bytes:
-                self._rotate()
-                if self.crash_hook is not None:
-                    self.crash_hook("post_rotate", self, lsn, data)
+        if self._closed:
+            raise StorageError("WAL writer is closed")
+        lsn = self._next_lsn
+        data = encode_record(
+            WalRecord(lsn=lsn, op=op, db=db, coll=coll, payload=payload)
+        )
+        if self._size >= self.segment_bytes:
+            self._rotate()
             if self.crash_hook is not None:
-                self.crash_hook("pre_append", self, lsn, data)
-            self._fh.write(data)
-            self._fh.flush()  # always reach the OS: kill -9 loses nothing
-            self._size += len(data)
-            self._next_lsn = lsn + 1
-            self.stats["appends"] += 1
-            self.stats["bytes_written"] += len(data)
-            self._unsynced += 1
-            if self.fsync_policy == "always" or (
-                self.fsync_policy == "batch" and self._unsynced >= self.batch_every
-            ):
-                self._fsync()
-            if self.crash_hook is not None:
-                self.crash_hook("post_append", self, lsn, data)
-            return lsn
+                self.crash_hook("post_rotate", self, lsn, data)
+        if self.crash_hook is not None:
+            self.crash_hook("pre_append", self, lsn, data)
+        self._fh.write(data)
+        self._fh.flush()  # always reach the OS: kill -9 loses nothing
+        self._size += len(data)
+        self._next_lsn = lsn + 1
+        self.stats["appends"] += 1
+        self.stats["bytes_written"] += len(data)
+        self._unsynced += 1
+        if self.fsync_policy == "always" or (
+            self.fsync_policy == "batch" and self._unsynced >= self.batch_every
+        ):
+            self._fsync()
+        if self.crash_hook is not None:
+            self.crash_hook("post_append", self, lsn, data)
+        return lsn
 
     def _fsync(self) -> None:
         os.fsync(self._fh.fileno())
@@ -377,11 +368,10 @@ class WalWriter:
 
     def sync(self) -> int:
         """Force flush + fsync; returns the last durable LSN."""
-        with self._lock:
-            if not self._closed:
-                self._fh.flush()
-                self._fsync()
-            return self.last_lsn
+        if not self._closed:
+            self._fh.flush()
+            self._fsync()
+        return self.last_lsn
 
     def rotate_if_dirty(self) -> bool:
         """Seal the current segment iff it holds records; returns True if sealed.
@@ -390,11 +380,10 @@ class WalWriter:
         sealed, a fully-checkpointed segment becomes removable, so the
         next recovery scans (almost) no pre-checkpoint records.
         """
-        with self._lock:
-            if self._closed or self._size == 0:
-                return False
-            self._rotate()
-            return True
+        if self._closed or self._size == 0:
+            return False
+        self._rotate()
+        return True
 
     def _rotate(self) -> None:
         """Seal the current segment and open a fresh one."""
@@ -417,15 +406,14 @@ class WalWriter:
         Returns the number of segments deleted.
         """
         removed = 0
-        with self._lock:
-            segments = list_segments(self.directory)
-            for i, (start_lsn, path) in enumerate(segments):
-                if path == self._segment_path:
-                    continue
-                next_start = (
-                    segments[i + 1][0] if i + 1 < len(segments) else self._next_lsn
-                )
-                if next_start <= checkpoint_lsn + 1:
-                    os.remove(path)
-                    removed += 1
+        segments = list_segments(self.directory)
+        for i, (start_lsn, path) in enumerate(segments):
+            if path == self._segment_path:
+                continue
+            next_start = (
+                segments[i + 1][0] if i + 1 < len(segments) else self._next_lsn
+            )
+            if next_start <= checkpoint_lsn + 1:
+                os.remove(path)
+                removed += 1
         return removed

@@ -6,8 +6,9 @@ Mirrors the original interface::
     upin-test-suite 10 --some_only     # only the first destination
 
 plus reproduction conveniences: ``--seed`` for determinism,
-``--metrics`` for campaign telemetry, and ``--db-dir`` (with
-``--durability``) to persist the database.
+``--metrics`` for campaign telemetry, and ``--db-dir`` to persist the
+database in a write-ahead-logged directory (``--durability`` picks the
+fsync policy).
 """
 
 from __future__ import annotations
@@ -61,13 +62,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--durability",
-        choices=["snapshot", "always", "batch", "never"],
-        default="snapshot",
-        help="persistence mode for --db-dir: 'snapshot' saves JSONL files "
-        "once at exit (seed behaviour); 'always'/'batch'/'never' open a "
-        "crash-safe write-ahead log with that fsync policy — every batch "
-        "flush survives kill -9 and the campaign ends with a checkpoint "
-        "(see docs/STORAGE.md)",
+        choices=["always", "batch", "never"],
+        default=None,
+        help="fsync policy of the --db-dir write-ahead log (default: never). "
+        "Every batch flush survives kill -9 and the campaign ends with a "
+        "checkpoint (see docs/STORAGE.md)",
     )
     parser.add_argument(
         "--sign",
@@ -95,16 +94,21 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.durability != "snapshot" and args.db_dir is None:
+    if args.durability is not None and args.db_dir is None:
         print("error: --durability requires --db-dir", file=sys.stderr)
         return 2
-    if args.db_dir is not None and args.durability != "snapshot":
-        # Durable mode: recover (snapshot + WAL replay) and auto-journal.
-        client = DocDBClient.open(args.db_dir, fsync=args.durability)
+    if args.db_dir is not None:
+        # Recover (checkpoint generation + WAL replay) and auto-journal.
+        fsync = args.durability or "never"
+        try:
+            client = DocDBClient.open(args.db_dir, fsync=fsync)
+        except ReproError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         report = client.recovery_report
         assert report is not None
         print(
-            f"durable database: wal fsync={args.durability}, "
+            f"durable database: wal fsync={fsync}, "
             f"recovered to lsn {report.last_lsn} "
             f"({report.records_replayed} records replayed"
             + (
@@ -113,8 +117,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 else ")"
             )
         )
-    elif args.db_dir is not None:
-        client = DocDBClient.load_from(args.db_dir)
     else:
         client = DocDBClient()
     db = client[config.database]
@@ -191,9 +193,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"(lsn {result.checkpoint_lsn}, "
             f"{result.segments_removed} WAL segment(s) compacted)"
         )
-    elif args.db_dir is not None:
-        client.save_to(args.db_dir)
-        print(f"database saved under {args.db_dir}")
     return 0
 
 

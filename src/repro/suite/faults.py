@@ -18,14 +18,12 @@ loss*, *server failure* (no answer) and *error messages* (bad answer).
 The data-loss draws come from one sequential stream seeded by
 :attr:`DataLossFault.seed`.  The campaign flushes its batches in a fixed
 order, so the set of lost batches is a pure function of the seed and
-the campaign.  The ``injected_*`` counters and the loss stream are
-guarded by a lock, so a plan stays consistent when its hooks are
-called from more than one thread.
+the campaign.  Like the suite that consults it, a plan is
+single-threaded: its counters and loss stream take no lock.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -167,10 +165,7 @@ class DataLossFault:
 
 
 class FaultPlan:
-    """A schedule of faults the runner consults during a campaign.
-
-    Thread-safe: counters and loss draws are taken under one lock.
-    """
+    """A schedule of faults the runner consults during a campaign."""
 
     def __init__(
         self,
@@ -179,22 +174,11 @@ class FaultPlan:
     ) -> None:
         self.outages = list(outages)
         self.data_loss = data_loss
-        self._lock = threading.Lock()
         self._rng = (
             np.random.default_rng(data_loss.seed) if data_loss is not None else None
         )
         self.injected_outages = 0
         self.injected_losses = 0
-
-    # -- shared counters (thread-safe) --------------------------------------------
-
-    def record_outage(self) -> None:
-        with self._lock:
-            self.injected_outages += 1
-
-    def record_loss(self) -> None:
-        with self._lock:
-            self.injected_losses += 1
 
     # -- server health ------------------------------------------------------------
 
@@ -216,24 +200,19 @@ class FaultPlan:
         """Set the destination's health for this iteration."""
         health = self.outage_health(iteration, server_id)
         if health is not None:
-            self.record_outage()
+            self.injected_outages += 1
         network.servers.set_health(
             ISDAS.parse(isd_as), ip, health if health is not None else ServerHealth.UP
         )
 
     # -- data loss -----------------------------------------------------------------
 
-    def _loss_draw(self) -> float:
-        assert self._rng is not None
-        with self._lock:
-            return float(self._rng.random())
-
     def flush_hook(self, batch: List[Dict[str, Any]]) -> None:
         """Install as :attr:`StatsRepository.flush_hook`."""
         if self._rng is None or self.data_loss is None:
             return
-        if self._loss_draw() < self.data_loss.probability:
-            self.record_loss()
+        if float(self._rng.random()) < self.data_loss.probability:
+            self.injected_losses += 1
             raise DataLossError(
                 f"simulated crash before storing {len(batch)} documents"
             )

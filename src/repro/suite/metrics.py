@@ -5,13 +5,12 @@ tolerate flaky user ASes) live and die by their retry/backoff/batch
 telemetry.  This module gives the test-suite the same discipline at
 simulation scale:
 
-* :class:`MetricsRegistry` — a thread-safe named-instrument registry.
+* :class:`MetricsRegistry` — a single-threaded named-instrument registry.
   Counters accumulate monotonically (``retries``, ``flush_failures``);
   histograms track ``count/total/min/max`` (``backoff_s``,
   ``batch_size``, ``destination_wall_s``, ``destination_sim_s``).
 * ``snapshot()`` renders the registry as a plain, JSON-friendly dict so
-  :class:`~repro.suite.runner.CampaignReport` can carry it across thread
-  boundaries by value.
+  :class:`~repro.suite.runner.CampaignReport` can carry it by value.
 * :func:`merge_snapshots` folds several snapshots into one view; the
   runner uses it to add the host's data-plane counters to its own.
   The fold is commutative and associative, so the order of the inputs
@@ -24,7 +23,6 @@ therefore byte-stable across runs.
 
 from __future__ import annotations
 
-import threading
 from typing import Any, Dict, Iterable, List, Optional
 
 #: Snapshot schema version (bumped if the dict layout ever changes).
@@ -126,10 +124,9 @@ _NET_STAT_NAMES = {
 
 
 class MetricsRegistry:
-    """Thread-safe counters + histograms, snapshotted as a plain dict."""
+    """Counters + histograms, snapshotted as a plain dict."""
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self._counters: Dict[str, float] = {}
         # name -> [count, total, min, max]
         self._histograms: Dict[str, List[float]] = {}
@@ -138,44 +135,40 @@ class MetricsRegistry:
 
     def inc(self, name: str, value: float = 1.0) -> None:
         """Add ``value`` to counter ``name`` (created at zero)."""
-        with self._lock:
-            self._counters[name] = self._counters.get(name, 0.0) + float(value)
+        self._counters[name] = self._counters.get(name, 0.0) + float(value)
 
     def observe(self, name: str, value: float) -> None:
         """Record one sample into histogram ``name``."""
         v = float(value)
-        with self._lock:
-            agg = self._histograms.get(name)
-            if agg is None:
-                self._histograms[name] = [1.0, v, v, v]
-            else:
-                agg[0] += 1.0
-                agg[1] += v
-                agg[2] = min(agg[2], v)
-                agg[3] = max(agg[3], v)
+        agg = self._histograms.get(name)
+        if agg is None:
+            self._histograms[name] = [1.0, v, v, v]
+        else:
+            agg[0] += 1.0
+            agg[1] += v
+            agg[2] = min(agg[2], v)
+            agg[3] = max(agg[3], v)
 
     # -- read side ------------------------------------------------------------
 
     def counter(self, name: str) -> float:
-        with self._lock:
-            return self._counters.get(name, 0.0)
+        return self._counters.get(name, 0.0)
 
     def snapshot(self) -> Dict[str, Any]:
         """A deep, JSON-friendly copy with deterministically sorted keys."""
-        with self._lock:
-            return {
-                "version": SNAPSHOT_VERSION,
-                "counters": {k: self._counters[k] for k in sorted(self._counters)},
-                "histograms": {
-                    k: {
-                        "count": int(agg[0]),
-                        "total": agg[1],
-                        "min": agg[2],
-                        "max": agg[3],
-                    }
-                    for k, agg in sorted(self._histograms.items())
-                },
-            }
+        return {
+            "version": SNAPSHOT_VERSION,
+            "counters": {k: self._counters[k] for k in sorted(self._counters)},
+            "histograms": {
+                k: {
+                    "count": int(agg[0]),
+                    "total": agg[1],
+                    "min": agg[2],
+                    "max": agg[3],
+                }
+                for k, agg in sorted(self._histograms.items())
+            },
+        }
 
 
 def counter_value(snapshot: Optional[Dict[str, Any]], name: str) -> float:

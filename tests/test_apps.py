@@ -205,6 +205,18 @@ class TestBwtestParams:
         with pytest.raises(BandwidthTestError):
             parse_bwtest_params("3,2,?,12Mbps")
 
+    def test_memoized_per_text_and_mtu(self):
+        first = parse_bwtest_params("3,MTU,?,150Mbps", mtu=1472)
+        assert parse_bwtest_params("3,MTU,?,150Mbps", mtu=1472) is first
+        other = parse_bwtest_params("3,MTU,?,150Mbps", mtu=1400)
+        assert other.packet_bytes == 1400 and first.packet_bytes == 1472
+
+    def test_invalid_text_raises_every_time(self):
+        # lru_cache never caches a call that raised.
+        for _ in range(2):
+            with pytest.raises(BandwidthTestError):
+                parse_bwtest_params("11,64,?,12Mbps")
+
 
 class TestBwtestApp:
     def test_both_directions_measured(self, host):

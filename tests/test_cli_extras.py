@@ -44,8 +44,8 @@ class TestSignedCampaignCli:
         out = capsys.readouterr().out
         assert "signing stats as 17-ffaa:1:e01" in out
         assert "PKC verified" in out
-        restored = DocDBClient.load_from(db_dir)
-        docs = restored["upin"]["paths_stats"].find()
+        with DocDBClient.open(db_dir) as restored:
+            docs = restored["upin"]["paths_stats"].find()
         assert docs
         assert all(SIGNATURE_FIELD in d for d in docs)
 

@@ -321,15 +321,21 @@ class TestIndexManagement:
     def test_compound_roundtrips_through_persistence(self, tmp_path):
         from repro.docdb.client import DocDBClient
 
-        client = DocDBClient()
-        coll = client["upin"]["paths_stats"]
-        coll.create_index([("server_id", 1), ("timestamp_ms", 1)])
-        coll.insert_many(
-            [{"_id": i, "server_id": i % 2, "timestamp_ms": i} for i in range(8)]
-        )
-        client.save_to(str(tmp_path))
-        reloaded = DocDBClient.load_from(str(tmp_path))["upin"]["paths_stats"]
+        with DocDBClient.open(str(tmp_path)) as client:
+            coll = client["upin"]["paths_stats"]
+            coll.create_index([("server_id", 1), ("timestamp_ms", 1)])
+            coll.insert_many(
+                [{"_id": i, "server_id": i % 2, "timestamp_ms": i} for i in range(8)]
+            )
+            client.checkpoint()
+        with DocDBClient.open(str(tmp_path)) as client:
+            # Read from the checkpoint generation, not from WAL replay.
+            assert client.recovery_report.records_replayed == 0
+            reloaded = client["upin"]["paths_stats"]
         assert "server_id_1_timestamp_ms_1" in reloaded.index_information()
+        assert reloaded.index_information()["server_id_1_timestamp_ms_1"][
+            "fields"
+        ] == [("server_id", 1), ("timestamp_ms", 1)]
         plan = reloaded.explain({"server_id": 1, "timestamp_ms": {"$gte": 5}})
         assert plan["winningPlan"]["inputStage"]["stage"] == STAGE_IXSCAN
 

@@ -1,4 +1,4 @@
-"""Tests for persistence (snapshots) and access control."""
+"""Tests for persistence (checkpoint generations) and access control."""
 
 import os
 
@@ -14,72 +14,87 @@ from repro.docdb.auth import (
     sign_document,
 )
 from repro.docdb.client import DocDBClient
+from repro.docdb.recovery import SNAPSHOT_DIR, read_checkpoint
 from repro.docdb.storage import JsonlStore
 from repro.errors import AuthError, StorageError
 
 
-class TestJsonlStore:
-    def test_roundtrip(self, tmp_path):
-        client = DocDBClient()
-        coll = client["upin"]["paths"]
-        coll.create_index("server_id")
-        coll.insert_many([{"_id": f"1_{i}", "server_id": 1} for i in range(5)])
-        client["upin"]["availableServers"].insert_one({"_id": 1, "ip": "1.2.3.4"})
-        client.save_to(str(tmp_path))
+def _generation_dir(directory) -> str:
+    """The snapshot generation that ``CHECKPOINT`` names."""
+    checkpoint = read_checkpoint(str(directory))
+    assert checkpoint.generation is not None
+    return os.path.join(str(directory), SNAPSHOT_DIR, checkpoint.generation)
 
-        restored = DocDBClient.load_from(str(tmp_path))
-        again = restored["upin"]["paths"]
-        assert len(again) == 5
-        assert sorted(again.index_information()) == ["server_id"]
-        assert restored["upin"]["availableServers"].find_one({"_id": 1})["ip"] == "1.2.3.4"
+
+class TestJsonlStore:
+    """The checkpoint-generation format, through open -> checkpoint -> reopen."""
+
+    def test_roundtrip(self, tmp_path):
+        with DocDBClient.open(str(tmp_path)) as client:
+            coll = client["upin"]["paths"]
+            coll.create_index("server_id")
+            coll.insert_many([{"_id": f"1_{i}", "server_id": 1} for i in range(5)])
+            client["upin"]["availableServers"].insert_one({"_id": 1, "ip": "1.2.3.4"})
+            client.checkpoint()
+
+        with DocDBClient.open(str(tmp_path)) as restored:
+            assert restored.recovery_report.records_replayed == 0
+            again = restored["upin"]["paths"]
+            assert len(again) == 5
+            assert sorted(again.index_information()) == ["server_id"]
+            assert restored["upin"]["availableServers"].find_one({"_id": 1})["ip"] == "1.2.3.4"
 
     def test_save_is_atomic_replace(self, tmp_path):
-        client = DocDBClient()
-        client["db"]["c"].insert_one({"_id": 1})
-        client.save_to(str(tmp_path))
-        files = os.listdir(tmp_path)
+        with DocDBClient.open(str(tmp_path)) as client:
+            client["db"]["c"].insert_one({"_id": 1})
+            client.checkpoint()
+        files = os.listdir(_generation_dir(tmp_path))
         assert "db.c.jsonl" in files
         assert not any(f.endswith(".tmp") for f in files)
 
     def test_corrupt_snapshot_raises(self, tmp_path):
-        path = tmp_path / "db.c.jsonl"
-        path.write_text("{not json\n")
-        store = JsonlStore(str(tmp_path))
-        from repro.docdb.database import Database
-
-        with pytest.raises(StorageError):
-            store.load_database(Database("db"))
+        with DocDBClient.open(str(tmp_path)) as client:
+            client["db"]["c"].insert_one({"_id": 1})
+            client.checkpoint()
+        path = os.path.join(_generation_dir(tmp_path), "db.c.jsonl")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("{not json\n")
+        with pytest.raises(StorageError, match="corrupt snapshot header"):
+            DocDBClient.open(str(tmp_path))
 
     def test_list_databases(self, tmp_path):
-        client = DocDBClient()
-        client["a"]["c"].insert_one({"_id": 1})
-        client["b"]["c"].insert_one({"_id": 1})
-        client.save_to(str(tmp_path))
-        assert JsonlStore(str(tmp_path)).list_databases() == ["a", "b"]
+        with DocDBClient.open(str(tmp_path)) as client:
+            client["a"]["c"].insert_one({"_id": 1})
+            client["b"]["c"].insert_one({"_id": 1})
+            client.checkpoint()
+        assert JsonlStore(_generation_dir(tmp_path)).list_databases() == ["a", "b"]
+        with DocDBClient.open(str(tmp_path)) as restored:
+            assert restored.list_database_names() == ["a", "b"]
 
     def test_dotted_database_name_rejected(self, tmp_path):
         # "up.in" would collide with the "<db>.<collection>.jsonl"
         # filename scheme and mis-parse on load.
-        client = DocDBClient()
-        client["up.in"]["c"].insert_one({"_id": 1})
-        with pytest.raises(StorageError, match="database name"):
-            client.save_to(str(tmp_path))
+        with DocDBClient.open(str(tmp_path)) as client:
+            client["up.in"]["c"].insert_one({"_id": 1})
+            with pytest.raises(StorageError, match="database name"):
+                client.checkpoint()
 
     def test_snapshot_removes_files_of_dropped_collections(self, tmp_path):
-        client = DocDBClient()
-        client["db"]["keep"].insert_one({"_id": 1})
-        client["db"]["gone"].insert_one({"_id": 1})
-        client.save_to(str(tmp_path))
-        assert "db.gone.jsonl" in os.listdir(tmp_path)
+        with DocDBClient.open(str(tmp_path)) as client:
+            client["db"]["keep"].insert_one({"_id": 1})
+            client["db"]["gone"].insert_one({"_id": 1})
+            client.checkpoint()
+            assert "db.gone.jsonl" in os.listdir(_generation_dir(tmp_path))
 
-        client["db"].drop_collection("gone")
-        client.save_to(str(tmp_path))
-        files = os.listdir(tmp_path)
+            client["db"].drop_collection("gone")
+            client.checkpoint()
+        files = os.listdir(_generation_dir(tmp_path))
         assert "db.keep.jsonl" in files
         assert "db.gone.jsonl" not in files
-        # A reload must not resurrect the dropped collection.
-        restored = DocDBClient.load_from(str(tmp_path))
-        assert restored["db"].list_collection_names() == ["keep"]
+        # Reopening must not resurrect the dropped collection.
+        with DocDBClient.open(str(tmp_path)) as restored:
+            assert restored.recovery_report.records_replayed == 0
+            assert restored["db"].list_collection_names() == ["keep"]
 
 
 @pytest.fixture(scope="module")

@@ -377,6 +377,16 @@ class TestRecovery:
         with pytest.raises(StorageError, match="missing snapshot generation"):
             RecoveryManager(str(tmp_path)).recover()
 
+    def test_old_snapshot_layout_is_refused(self, tmp_path):
+        # The removed snapshot mode wrote <db>.<coll>.jsonl files at the
+        # top level and no CHECKPOINT.  Opening that directory empty
+        # would let the next checkpoint hide its data.
+        for name in ("upin.paths.jsonl", "upin.availableServers.jsonl"):
+            (tmp_path / name).write_text('{"__meta__": {"indexes": []}}\n')
+        with pytest.raises(StorageError, match=r"upin\.availableServers\.jsonl"):
+            RecoveryManager(str(tmp_path)).recover()
+        assert not os.path.exists(os.path.join(str(tmp_path), WAL_DIR))
+
     def test_recovery_clears_query_caches(self, tmp_path):
         with open_client(tmp_path) as client:
             coll = client["upin"]["paths"]

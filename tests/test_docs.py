@@ -150,9 +150,39 @@ def test_storage_md_example_is_consistent():
         os.path.join(REPO_ROOT, "docs", "STORAGE.md"), encoding="utf-8"
     ) as fh:
         text = fh.read()
-    for attr in ("open", "checkpoint", "compaction_hook", "save_to", "load_from"):
+    for attr in ("open", "checkpoint", "compaction_hook"):
         assert hasattr(DocDBClient, attr)
         assert attr in text, f"STORAGE.md never mentions DocDBClient.{attr}"
+
+
+def test_no_module_imports_threading():
+    """STORAGE.md states that the store is single-threaded and takes no
+    locks; a module that imports ``threading`` must revisit that first."""
+    import ast
+
+    src_root = os.path.join(REPO_ROOT, "src", "repro")
+    offenders = []
+    for dirpath, _dirnames, filenames in os.walk(src_root):
+        for name in filenames:
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(dirpath, name)
+            with open(path, encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), filename=path)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    modules = [node.module or ""]
+                else:
+                    continue
+                if any(m.split(".")[0] == "threading" for m in modules):
+                    offenders.append(os.path.relpath(path, REPO_ROOT))
+    assert not offenders, f"modules importing threading: {sorted(offenders)}"
+    with open(
+        os.path.join(REPO_ROOT, "docs", "STORAGE.md"), encoding="utf-8"
+    ) as fh:
+        assert "single-threaded" in fh.read()
 
 
 def test_architecture_md_net_counter_table_matches_metrics():

@@ -9,6 +9,8 @@ import sys
 
 import pytest
 
+from repro.docdb.client import DocDBClient
+
 EXAMPLES = [
     ("quickstart.py", [], "Done. Everything above is deterministic"),
     ("attach_user_as.py", [], "certificate chain verifies"),
@@ -27,3 +29,20 @@ def test_example_runs(script, argv, expected, capsys, monkeypatch):
     runpy.run_path(f"examples/{script}", run_name="__main__")
     out = capsys.readouterr().out
     assert expected.lower() in out.lower()
+
+
+def test_measurement_campaign_persists_and_reopens(tmp_path, capsys, monkeypatch):
+    db_dir = str(tmp_path / "db")
+    monkeypatch.setattr(sys, "argv", ["measurement_campaign.py", "1", db_dir])
+    runpy.run_path("examples/measurement_campaign.py", run_name="__main__")
+    out = capsys.readouterr().out
+    assert f"database persisted under {db_dir}" in out
+    stored = int(out.split("campaign: ", 1)[1].split(" samples", 1)[0])
+    assert stored > 0
+    with DocDBClient.open(db_dir) as client:
+        report = client.recovery_report
+        assert report is not None and report.records_replayed == 0
+        assert report.generation is not None
+        db = client["upin"]
+        assert db["paths_stats"].count_documents({}) == stored
+        assert db["paths"].count_documents({}) > 0

@@ -36,30 +36,45 @@ class TestSuiteCli:
     def test_main_persists_db(self, tmp_path, capsys):
         db_dir = str(tmp_path / "db")
         assert main(["1", "--some_only", "--db-dir", db_dir]) == 0
-        restored = DocDBClient.load_from(db_dir)
-        assert restored["upin"][STATS_COLLECTION].count_documents() == 22
+        assert "durable database: wal fsync=never" in capsys.readouterr().out
+        with DocDBClient.open(db_dir) as restored:
+            assert restored["upin"][STATS_COLLECTION].count_documents() == 22
 
-    @pytest.mark.parametrize("durability", ["snapshot", "batch"])
+    @pytest.mark.parametrize(
+        "durability", [pytest.param(None, id="default"), "batch"]
+    )
     def test_rerun_on_persisted_db_adds_a_full_campaign(self, tmp_path, capsys, durability):
         # The simulated clock restarts at 0 in each run, so the second
         # run's stats ids must not collide with the first run's.
         db_dir = str(tmp_path / "db")
-        flags = ["--db-dir", db_dir, "--durability", durability]
+        flags = ["--db-dir", db_dir]
+        if durability is not None:
+            flags += ["--durability", durability]
 
         def stored() -> int:
-            if durability == "snapshot":
-                client = DocDBClient.load_from(db_dir)
-            else:
-                client = DocDBClient.open(db_dir)
-            count = client["upin"][STATS_COLLECTION].count_documents()
-            client.close()
-            return count
+            with DocDBClient.open(db_dir) as client:
+                return client["upin"][STATS_COLLECTION].count_documents()
 
         assert main(["1", "--some_only"] + flags) == 0
         first = stored()
         assert first == 22
         assert main(["1", "--some_only", "--skip"] + flags) == 0
         assert stored() == 2 * first
+
+    def test_snapshot_durability_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["1", "--durability", "snapshot"])
+        assert exc.value.code == 2
+
+    def test_old_snapshot_layout_is_refused(self, tmp_path, capsys):
+        # A directory that the removed snapshot mode wrote: top-level
+        # <db>.<coll>.jsonl files and no CHECKPOINT.
+        (tmp_path / "upin.paths_stats.jsonl").write_text('{"__meta__": {}}\n')
+        assert main(["1", "--some_only", "--db-dir", str(tmp_path)]) == 1
+        assert "upin.paths_stats.jsonl" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "upin.paths_stats.jsonl"
+        ]
 
     def test_main_metrics_flag(self, capsys):
         assert main(["1", "--some_only", "--metrics"]) == 0

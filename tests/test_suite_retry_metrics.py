@@ -1,7 +1,5 @@
 """Tests for the retry/backoff engine and the campaign metrics layer."""
 
-import threading
-
 import pytest
 
 from repro.docdb.client import DocDBClient
@@ -173,23 +171,6 @@ class TestMetricsRegistry:
         assert merged_ab == merged_ba
         assert merged_ab["counters"]["retries"] == 5
         assert merged_ab["histograms"]["backoff_s"]["max"] == 4.0
-
-    def test_thread_safety_under_contention(self):
-        reg = m.MetricsRegistry()
-
-        def hammer():
-            for _ in range(1000):
-                reg.inc("c")
-                reg.observe("h", 1.0)
-
-        threads = [threading.Thread(target=hammer) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        snap = reg.snapshot()
-        assert snap["counters"]["c"] == 8000
-        assert snap["histograms"]["h"]["count"] == 8000
 
     def test_format_metrics_renders_key_lines(self):
         reg = m.MetricsRegistry()

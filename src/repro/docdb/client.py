@@ -8,9 +8,9 @@ reproduction's suite code reads like the original scripts.
 mechanism is :meth:`DocDBClient.open`: it recovers the directory
 (checkpoint generation + WAL replay) and attaches a segmented,
 checksummed write-ahead log so every mutating operation journals itself
-automatically.  ``checkpoint()`` / ``compact()`` bound WAL growth;
-``close()`` seals the log.  The store is single-threaded: it takes no
-locks, and one thread owns a client at a time.  See docs/STORAGE.md.
+automatically.  ``checkpoint()`` bounds WAL growth; ``close()`` seals
+the log.  The store is single-threaded: it takes no locks, and one
+thread owns a client at a time.  See docs/STORAGE.md.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ class DocDBClient:
         self._wal: Optional[WalWriter] = None
         self._durable_dir: Optional[str] = None
         self.recovery_report: Optional[Any] = None
-        self._compactions = 0
         self._checkpoints = 0
         self._segments_removed = 0
         self._generations_removed = 0
@@ -105,33 +104,6 @@ class DocDBClient:
         self._generations_removed += result.generations_removed
         return result
 
-    def compact(self) -> Any:
-        """Compaction: checkpoint only if the WAL grew.
-
-        Cheap when idle (pure GC), a full checkpoint otherwise — this is
-        the hook the monitoring scheduler calls between rounds.
-        """
-        self._compactions += 1
-        return self.checkpoint()
-
-    def compaction_hook(self, *, every: int = 1):
-        """A ``MonitoringScheduler.add_round_hook``-compatible callable.
-
-        Runs :meth:`compact` every ``every`` finished rounds, keeping
-        WAL growth bounded during continuous monitoring without any
-        caller-side persistence bookkeeping.
-        """
-        if every < 1:
-            raise ValueError("compaction interval must be >= 1")
-        counter = {"rounds": 0}
-
-        def hook(_record: Any) -> None:
-            counter["rounds"] += 1
-            if counter["rounds"] % every == 0:
-                self.compact()
-
-        return hook
-
     def close(self) -> None:
         """Seal the WAL (flush + fsync) and detach it."""
         if self._wal is not None:
@@ -147,8 +119,8 @@ class DocDBClient:
     def wal_stats(self) -> Dict[str, Any]:
         """JSON-friendly durability counters (empty dict when volatile).
 
-        Folded into the suite CLI's ``--metrics`` output by
-        :func:`repro.suite.metrics.wal_stats_snapshot`.
+        The suite CLI's ``--metrics`` output prints them as they are,
+        through :func:`repro.suite.metrics.format_wal_stats`.
         """
         wal = self._wal
         if wal is None:
@@ -164,7 +136,6 @@ class DocDBClient:
             "checkpoint_lsn": checkpoint.checkpoint_lsn,
             "segments": wal.segment_count(),
             "checkpoints": self._checkpoints,
-            "compactions": self._compactions,
             "segments_removed": self._segments_removed,
             "generations_removed": self._generations_removed,
             "records_replayed": (

@@ -38,8 +38,10 @@ Query statistics (``Collection.stats``):
 ``docs_examined``  documents materialised and run through the residual
                    filter — reconciles with ``explain()``'s
                    ``executionStats.docsExamined``
-``cache_hits`` / ``cache_misses``   query-result cache outcomes
 ``explains``       ``explain()`` calls
+
+Query-result cache outcomes are counted once, by the cache itself
+(``Collection.cache.hits`` / ``.misses``).
 """
 
 from __future__ import annotations
@@ -144,8 +146,6 @@ class Collection:
             "scans": 0,
             "index_hits": 0,
             "docs_examined": 0,
-            "cache_hits": 0,
-            "cache_misses": 0,
             "explains": 0,
         }
         self._planner = QueryPlanner(self)
@@ -288,9 +288,7 @@ class Collection:
         if cache_key is not None:
             cached = self.cache.get(cache_key, epoch)
             if cached is not None:
-                self.stats["cache_hits"] += 1
                 return cached
-            self.stats["cache_misses"] += 1
         out = self._execute_filter(flt)
         if sort:
             out = _sorted_docs(out, sort)
@@ -320,9 +318,7 @@ class Collection:
         if cache_key is not None:
             cached = self.cache.get(cache_key, epoch)
             if cached is not None:
-                self.stats["cache_hits"] += 1
                 return cached
-            self.stats["cache_misses"] += 1
         n = len(self._execute_filter(flt))
         if cache_key is not None:
             self.cache.put(cache_key, epoch, n)
@@ -571,9 +567,7 @@ class Collection:
         if cache_key is not None:
             cached = self.cache.get(cache_key, epoch)
             if cached is not None:
-                self.stats["cache_hits"] += 1
                 return json_deepcopy(cached)
-            self.stats["cache_misses"] += 1
         match, rest = split_leading_match(pipeline)
         # The stages build new lists and group documents but never
         # edit their inputs, so they run over the stored documents;

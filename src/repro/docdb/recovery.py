@@ -34,7 +34,7 @@ from __future__ import annotations
 import json
 import os
 import shutil
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.docdb.storage import JsonlStore
@@ -149,29 +149,8 @@ class RecoveryReport:
     generation: Optional[str] = None
     last_lsn: int = 0
     records_replayed: int = 0
-    records_skipped: int = 0  # at or below the checkpoint (pre-GC leftovers)
     segments_scanned: int = 0
     torn_bytes_truncated: int = 0
-    databases_recovered: List[str] = field(default_factory=list)
-    collections_recovered: int = 0
-
-    def format_text(self, *, indent: str = "  ") -> str:
-        lines = [
-            f"{indent}checkpoint lsn {self.checkpoint_lsn} "
-            f"(generation: {self.generation or 'none'})",
-            f"{indent}replayed {self.records_replayed} WAL record(s) over "
-            f"{self.segments_scanned} segment(s), last lsn {self.last_lsn}",
-        ]
-        if self.torn_bytes_truncated:
-            lines.append(
-                f"{indent}torn tail truncated "
-                f"({self.torn_bytes_truncated} bytes rolled back)"
-            )
-        lines.append(
-            f"{indent}{len(self.databases_recovered)} database(s), "
-            f"{self.collections_recovered} collection(s) recovered"
-        )
-        return "\n".join(lines)
 
 
 class RecoveryManager:
@@ -223,7 +202,7 @@ class RecoveryManager:
                 store.load_database(client.database(db_name))
 
         self._replay_wal(client, checkpoint.checkpoint_lsn, report)
-        self._rebuild_caches(client, report)
+        self._rebuild_caches(client)
         return client, report
 
     def _refuse_old_layout(self) -> None:
@@ -272,8 +251,7 @@ class RecoveryManager:
             report.segments_scanned += 1
             for record in scan.records:
                 if record.lsn <= checkpoint_lsn:
-                    report.records_skipped += 1
-                    continue
+                    continue  # pre-GC leftovers at or below the checkpoint
                 self._apply(client, record)
                 report.records_replayed += 1
                 report.last_lsn = record.lsn
@@ -322,7 +300,7 @@ class RecoveryManager:
     # -- post-replay consistency ---------------------------------------------
 
     @staticmethod
-    def _rebuild_caches(client: "DocDBClient", report: RecoveryReport) -> None:
+    def _rebuild_caches(client: "DocDBClient") -> None:
         """Bump every epoch and drop caches: planner state is rebuilt.
 
         Replay already rebuilt the indexes (snapshot headers + replayed
@@ -332,12 +310,10 @@ class RecoveryManager:
         """
         for db_name in client.list_database_names():
             db = client.database(db_name)
-            report.databases_recovered.append(db_name)
             for coll_name in db.list_collection_names():
                 coll = db[coll_name]
                 coll.cache.clear()
                 coll._bump_epoch()
-                report.collections_recovered += 1
 
 
 # -- checkpoint / compaction -------------------------------------------------
@@ -364,8 +340,8 @@ def run_checkpoint(client: "DocDBClient") -> CheckpointResult:
     pass degenerates to pure GC (``skipped=True``).
 
     Not safe against *concurrent writers*: call it from a quiesced
-    point — the scheduler's between-rounds hook
-    (:meth:`DocDBClient.compaction_hook`) or campaign teardown.
+    point, such as between monitoring rounds or at campaign teardown
+    (the suite CLI checkpoints once, before it closes the client).
     """
     wal = client.wal
     directory = client.durable_dir

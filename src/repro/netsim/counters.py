@@ -7,9 +7,10 @@ per host, so no locking is needed — and every one of them is a pure
 function of ``(world, seed, campaign)``: the determinism suites compare
 snapshots byte-for-byte across runs.
 
-The canonical ``net_*`` metric names these map onto live in
-:mod:`repro.suite.metrics` (``_NET_STAT_NAMES``); the table in
-``docs/ARCHITECTURE.md`` is diff-tested against that mapping.
+A campaign report carries every slot as the counter ``net.<slot>``
+(:meth:`repro.suite.runner.TestRunner.run`), which ``--metrics``
+prints; the table in ``docs/ARCHITECTURE.md`` is diff-tested against
+``NetCounters.__slots__``.
 """
 
 from __future__ import annotations

@@ -24,11 +24,9 @@ from repro.scionlab.defaults import available_server_documents
 from repro.suite.collect import PathsCollector
 from repro.suite.config import SERVERS_COLLECTION, SuiteConfig
 from repro.suite.metrics import (
-    database_stats_snapshot,
     format_database_stats,
     format_metrics,
     format_wal_stats,
-    wal_stats_snapshot,
 )
 from repro.suite.runner import TestRunner
 
@@ -171,10 +169,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.metrics:
             block = format_metrics(report.metrics, indent="  ")
             print("metrics:" + ("\n" + block if block else " (none)"))
-            db_block = format_database_stats(database_stats_snapshot(db))
+            db_block = format_database_stats(db)
             if db_block:
                 print(db_block)
-            wal_block = format_wal_stats(wal_stats_snapshot(client))
+            wal_block = format_wal_stats(client.wal_stats())
             if wal_block:
                 print(wal_block)
     except ReproError as exc:

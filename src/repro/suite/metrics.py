@@ -10,11 +10,14 @@ simulation scale:
   histograms track ``count/total/min/max`` (``backoff_s``,
   ``batch_size``, ``destination_wall_s``, ``destination_sim_s``).
 * ``snapshot()`` renders the registry as a plain, JSON-friendly dict so
-  :class:`~repro.suite.runner.CampaignReport` can carry it by value.
-* :func:`merge_snapshots` folds several snapshots into one view; the
-  runner uses it to add the host's data-plane counters to its own.
-  The fold is commutative and associative, so the order of the inputs
-  does not matter.
+  :class:`~repro.suite.runner.CampaignReport` can carry it by value;
+  the runner adds the host's data-plane counters to it as
+  ``net.<slot>``, one per :class:`~repro.netsim.counters.NetCounters`
+  slot.
+* The query-planner and WAL blocks of ``--metrics`` are formatted
+  straight from the counters each layer keeps: ``Collection.stats``
+  and ``Collection.cache`` (:func:`format_database_stats`) and
+  ``DocDBClient.wal_stats()`` (:func:`format_wal_stats`).
 
 Only the ``*_wall_s`` instruments observe the host's real clock; every
 other metric is a pure function of ``(world, seed, campaign)`` and is
@@ -23,7 +26,7 @@ therefore byte-stable across runs.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, List, Optional
 
 #: Snapshot schema version (bumped if the dict layout ever changes).
 SNAPSHOT_VERSION = 1
@@ -39,9 +42,9 @@ BATCH_SIZE = "batch_size"
 DEST_WALL_S = "destination_wall_s"
 DEST_SIM_S = "destination_sim_s"
 
-# Flow-health monitor counters (recorded by ``repro.monitor.loop`` into
-# its own registry and folded into the campaign view the same way the
-# planner counters are — see docs/MONITOR.md).
+# Flow-health monitor counters (recorded by ``repro.monitor`` into the
+# monitor's own registry and printed by :func:`format_metrics` — see
+# docs/MONITOR.md).
 MON_PROBES = "monitor_probes_sent"
 MON_SAMPLES = "monitor_samples"
 MON_BREACHES = "monitor_breaches"
@@ -52,75 +55,6 @@ MON_FAILOVERS_FAILED = "monitor_failovers_failed"
 MON_REVOCATIONS = "monitor_revocations"
 MON_MTTR_S = "monitor_time_to_repair_s"
 MON_ROUND_WALL_S = "monitor_round_wall_s"
-
-# Durability / write-ahead-log counters (folded from
-# ``DocDBClient.wal_stats()`` by :func:`wal_stats_snapshot`; zero/absent
-# for volatile clients).  See docs/STORAGE.md.
-WAL_APPENDS = "wal_appends"
-WAL_BYTES = "wal_bytes_written"
-WAL_FSYNCS = "wal_fsyncs"
-WAL_ROTATIONS = "wal_segment_rotations"
-WAL_SEGMENTS = "wal_segments"
-WAL_CHECKPOINTS = "wal_checkpoints"
-WAL_SEGMENTS_REMOVED = "wal_segments_removed"
-WAL_LAST_LSN = "wal_last_lsn"
-WAL_CHECKPOINT_LSN = "wal_checkpoint_lsn"
-WAL_RECORDS_REPLAYED = "wal_records_replayed"
-WAL_TORN_BYTES = "wal_torn_bytes_truncated"
-
-#: ``DocDBClient.wal_stats()`` key -> canonical instrument name.
-_WAL_STAT_NAMES = {
-    "appends": WAL_APPENDS,
-    "bytes_written": WAL_BYTES,
-    "fsyncs": WAL_FSYNCS,
-    "rotations": WAL_ROTATIONS,
-    "segments": WAL_SEGMENTS,
-    "checkpoints": WAL_CHECKPOINTS,
-    "segments_removed": WAL_SEGMENTS_REMOVED,
-    "last_lsn": WAL_LAST_LSN,
-    "checkpoint_lsn": WAL_CHECKPOINT_LSN,
-    "records_replayed": WAL_RECORDS_REPLAYED,
-    "torn_bytes_truncated": WAL_TORN_BYTES,
-}
-
-# Database/query-planner counters (folded from ``Collection.stats`` by
-# :func:`database_stats_snapshot` — read-time aggregation, deliberately
-# NOT recorded in the runner's registry: the collections are shared by
-# every client of the store, so the campaign snapshot the determinism
-# tests compare byte-for-byte holds only what the campaign itself did).
-DB_COLLSCANS = "db_collection_scans"
-DB_INDEX_HITS = "db_index_hits"
-DB_DOCS_EXAMINED = "db_docs_examined"
-DB_CACHE_HITS = "db_query_cache_hits"
-DB_CACHE_MISSES = "db_query_cache_misses"
-
-#: ``Collection.stats`` key -> canonical instrument name.
-_DB_STAT_NAMES = {
-    "scans": DB_COLLSCANS,
-    "index_hits": DB_INDEX_HITS,
-    "docs_examined": DB_DOCS_EXAMINED,
-    "cache_hits": DB_CACHE_HITS,
-    "cache_misses": DB_CACHE_MISSES,
-}
-
-# Simulated data-plane counters (folded from ``NetworkSim.counters`` by
-# :func:`network_stats_snapshot`).  Every value is a pure function of
-# ``(world, seed, campaign)`` — see docs/ARCHITECTURE.md, "Measurement
-# fast path", whose metric table is diff-tested against this mapping.
-NET_BATCH_SERIES = "net_batch_probe_series"
-NET_BATCH_PACKETS = "net_batch_packets"
-NET_SAMPLER_HITS = "net_sampler_cache_hits"
-NET_SAMPLER_MISSES = "net_sampler_cache_misses"
-NET_LEDGER_PRUNED = "net_ledger_pruned_flows"
-
-#: ``NetCounters`` slot -> canonical instrument name.
-_NET_STAT_NAMES = {
-    "batch_series": NET_BATCH_SERIES,
-    "batch_packets": NET_BATCH_PACKETS,
-    "sampler_hits": NET_SAMPLER_HITS,
-    "sampler_misses": NET_SAMPLER_MISSES,
-    "ledger_pruned_flows": NET_LEDGER_PRUNED,
-}
 
 
 class MetricsRegistry:
@@ -187,130 +121,36 @@ def histogram_stats(
     return snapshot.get("histograms", {}).get(name)
 
 
-def merge_snapshots(snapshots: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
-    """Fold snapshots into one (commutative: scheduling-independent)."""
-    counters: Dict[str, float] = {}
-    histograms: Dict[str, Dict[str, float]] = {}
-    for snap in snapshots:
-        if not snap:
-            continue
-        for name, value in snap.get("counters", {}).items():
-            counters[name] = counters.get(name, 0.0) + float(value)
-        for name, agg in snap.get("histograms", {}).items():
-            merged = histograms.get(name)
-            if merged is None:
-                histograms[name] = dict(agg)
-            else:
-                merged["count"] += agg["count"]
-                merged["total"] += agg["total"]
-                merged["min"] = min(merged["min"], agg["min"])
-                merged["max"] = max(merged["max"], agg["max"])
-    return {
-        "version": SNAPSHOT_VERSION,
-        "counters": {k: counters[k] for k in sorted(counters)},
-        "histograms": {k: histograms[k] for k in sorted(histograms)},
-    }
-
-
-def database_stats_snapshot(db: Any) -> Dict[str, Any]:
-    """Fold every collection's planner/cache counters into one snapshot.
-
-    ``db`` is a :class:`~repro.docdb.database.Database`.  Returns a
-    metrics-shaped dict (``{"version", "counters", "histograms"}``) with
-    both database-wide totals under the canonical ``db_*`` names and
-    per-collection counters under ``db.<collection>.<stat>`` — the
-    "planner counters folded into suite metrics" surface the CLI prints
-    with ``--metrics``.
-    """
-    counters: Dict[str, float] = {}
-    for coll_name in db.list_collection_names():
-        stats = db[coll_name].stats
-        for stat_key, canonical in _DB_STAT_NAMES.items():
-            value = float(stats.get(stat_key, 0))
-            counters[canonical] = counters.get(canonical, 0.0) + value
-            counters[f"db.{coll_name}.{stat_key}"] = value
-    return {
-        "version": SNAPSHOT_VERSION,
-        "counters": {k: counters[k] for k in sorted(counters)},
-        "histograms": {},
-    }
-
-
-def network_stats_snapshot(network: Any) -> Dict[str, Any]:
-    """Fold a :class:`~repro.netsim.network.NetworkSim`'s data-plane
-    counters into a metrics-shaped snapshot.
-
-    Returns the canonical ``net_*`` instrument names; every counter is
-    deterministic per ``(world, seed, campaign)``, so the campaign
-    snapshot stays byte-identical across runs.
-    """
-    raw = network.counters.snapshot() if hasattr(network, "counters") else {}
-    counters: Dict[str, float] = {}
-    for stat_key, canonical in _NET_STAT_NAMES.items():
-        if stat_key in raw:
-            counters[canonical] = float(raw[stat_key])
-    return {
-        "version": SNAPSHOT_VERSION,
-        "counters": {k: counters[k] for k in sorted(counters)},
-        "histograms": {},
-    }
-
-
-def wal_stats_snapshot(client: Any) -> Dict[str, Any]:
-    """Fold a durable client's WAL counters into a metrics snapshot.
-
-    ``client`` is a :class:`~repro.docdb.client.DocDBClient`; volatile
-    clients yield an empty snapshot (nothing to report).
-    """
-    raw = client.wal_stats() if hasattr(client, "wal_stats") else {}
-    counters: Dict[str, float] = {}
-    for stat_key, canonical in _WAL_STAT_NAMES.items():
-        if stat_key in raw:
-            counters[canonical] = float(raw[stat_key])
-    return {
-        "version": SNAPSHOT_VERSION,
-        "counters": {k: counters[k] for k in sorted(counters)},
-        "histograms": {},
-    }
-
-
-def format_wal_stats(
-    snapshot: Optional[Dict[str, Any]], *, indent: str = "  "
-) -> str:
-    """Human-readable durability block (empty when volatile)."""
-    if not snapshot or not snapshot.get("counters"):
+def format_wal_stats(stats: Dict[str, Any], *, indent: str = "  ") -> str:
+    """Human-readable durability block from ``DocDBClient.wal_stats()``
+    (empty when volatile)."""
+    if not stats:
         return ""
-    appends = counter_value(snapshot, WAL_APPENDS)
-    wal_bytes = counter_value(snapshot, WAL_BYTES)
-    fsyncs = counter_value(snapshot, WAL_FSYNCS)
-    rotations = counter_value(snapshot, WAL_ROTATIONS)
-    last_lsn = counter_value(snapshot, WAL_LAST_LSN)
-    ckpt_lsn = counter_value(snapshot, WAL_CHECKPOINT_LSN)
-    checkpoints = counter_value(snapshot, WAL_CHECKPOINTS)
-    replayed = counter_value(snapshot, WAL_RECORDS_REPLAYED)
     lines = [
-        f"{indent}wal: {appends:g} appends ({wal_bytes:g} bytes), "
-        f"{fsyncs:g} fsyncs, {rotations:g} rotations",
-        f"{indent}wal: lsn {last_lsn:g} (checkpoint {ckpt_lsn:g}, "
-        f"{checkpoints:g} checkpoints, {replayed:g} records replayed at open)",
+        f"{indent}wal: {stats['appends']:g} appends "
+        f"({stats['bytes_written']:g} bytes), {stats['fsyncs']:g} fsyncs, "
+        f"{stats['rotations']:g} rotations",
+        f"{indent}wal: lsn {stats['last_lsn']:g} "
+        f"(checkpoint {stats['checkpoint_lsn']:g}, "
+        f"{stats['checkpoints']:g} checkpoints, "
+        f"{stats['records_replayed']:g} records replayed at open)",
     ]
-    torn = counter_value(snapshot, WAL_TORN_BYTES)
+    torn = stats["torn_bytes_truncated"]
     if torn:
         lines.append(f"{indent}wal: torn tail rolled back ({torn:g} bytes)")
     return "\n".join(lines)
 
 
-def format_database_stats(
-    snapshot: Optional[Dict[str, Any]], *, indent: str = "  "
-) -> str:
-    """Human-readable query-planner block (empty when nothing recorded)."""
-    if not snapshot:
-        return ""
-    hits = counter_value(snapshot, DB_INDEX_HITS)
-    scans = counter_value(snapshot, DB_COLLSCANS)
-    examined = counter_value(snapshot, DB_DOCS_EXAMINED)
-    cache_h = counter_value(snapshot, DB_CACHE_HITS)
-    cache_m = counter_value(snapshot, DB_CACHE_MISSES)
+def format_database_stats(db: Any, *, indent: str = "  ") -> str:
+    """Human-readable query-planner block for a
+    :class:`~repro.docdb.database.Database`, summed over its
+    collections (empty when nothing recorded)."""
+    colls = [db[name] for name in db.list_collection_names()]
+    hits = sum(c.stats["index_hits"] for c in colls)
+    scans = sum(c.stats["scans"] for c in colls)
+    examined = sum(c.stats["docs_examined"] for c in colls)
+    cache_h = sum(c.cache.hits for c in colls)
+    cache_m = sum(c.cache.misses for c in colls)
     if not any((hits, scans, examined, cache_h, cache_m)):
         return ""
     lines = [
@@ -361,16 +201,16 @@ def format_metrics(snapshot: Optional[Dict[str, Any]], *, indent: str = "  ") ->
         if mttr and mttr["count"]:
             line += f", MTTR {mttr['total'] / mttr['count']:.1f} sim s"
         lines.append(line)
-    batch_series = counter_value(snapshot, NET_BATCH_SERIES)
-    batch_packets = counter_value(snapshot, NET_BATCH_PACKETS)
+    batch_series = counter_value(snapshot, "net.batch_series")
+    batch_packets = counter_value(snapshot, "net.batch_packets")
     if batch_series:
         lines.append(
             f"{indent}data plane: {batch_series:g} batch series "
             f"({batch_packets:g} packets)"
         )
-        sampler_h = counter_value(snapshot, NET_SAMPLER_HITS)
-        sampler_m = counter_value(snapshot, NET_SAMPLER_MISSES)
-        pruned = counter_value(snapshot, NET_LEDGER_PRUNED)
+        sampler_h = counter_value(snapshot, "net.sampler_hits")
+        sampler_m = counter_value(snapshot, "net.sampler_misses")
+        pruned = counter_value(snapshot, "net.ledger_pruned_flows")
         if sampler_h or sampler_m or pruned:
             lines.append(
                 f"{indent}data plane: sampler cache {sampler_h:g} hits / "

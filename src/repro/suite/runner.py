@@ -163,13 +163,15 @@ class TestRunner:
         # written inside the loop, so deriving the count from it reported
         # stale numbers for 0-iteration campaigns.
         report.destinations_tested = len(destinations) * iterations
-        # Fold the host's data-plane counters (batch probes, sampler
-        # cache, ledger prunes) into the campaign snapshot.  Both sides
-        # are deterministic per (world, seed, campaign), so the snapshot
-        # is byte-identical across runs.
-        report.metrics = m.merge_snapshots(
-            [self.metrics.snapshot(), m.network_stats_snapshot(self.host.network)]
-        )
+        # Add the host's data-plane counters (batch probes, sampler
+        # cache, ledger prunes) to the campaign snapshot as ``net.<slot>``.
+        # Both sides are deterministic per (world, seed, campaign), so the
+        # snapshot is byte-identical across runs.
+        report.metrics = self.metrics.snapshot()
+        counters = report.metrics["counters"]
+        for slot, value in self.host.network.counters.snapshot().items():
+            counters[f"net.{slot}"] = float(value)
+        report.metrics["counters"] = dict(sorted(counters.items()))
         return report
 
     def _run_destination(

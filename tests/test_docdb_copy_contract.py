@@ -329,12 +329,12 @@ class TestReadResultsNeverAlias:
         # ``freeze`` cannot key a Decimal, so this read skips the query
         # cache; its result must still be a copy.
         flt = {"server_id": Decimal(3)}
-        lookups = coll.stats["cache_hits"] + coll.stats["cache_misses"]
+        lookups = coll.cache.hits + coll.cache.misses
         first = coll.find(flt)
         assert first == [STORED]
         _scribble(first)
         assert coll.find(flt) == [STORED]
-        assert coll.stats["cache_hits"] + coll.stats["cache_misses"] == lookups
+        assert coll.cache.hits + coll.cache.misses == lookups
 
     def test_distinct(self, coll):
         out = coll.distinct("d")

@@ -261,9 +261,9 @@ class TestEpochAndCache:
         coll = campaign_collection()
         flt = {"server_id": 1, "timestamp_ms": {"$gte": 1000}}
         first = coll.find(flt)
-        hits0 = coll.stats["cache_hits"]
+        hits0 = coll.cache.hits
         again = coll.find(flt)
-        assert coll.stats["cache_hits"] == hits0 + 1
+        assert coll.cache.hits == hits0 + 1
         assert again == first
 
     def test_cached_results_are_isolated_copies(self):

@@ -442,23 +442,6 @@ class TestCheckpoint:
         assert result.generations_removed >= 1
         client.close()
 
-    def test_compaction_hook_runs_every_n_rounds(self, tmp_path):
-        client = open_client(tmp_path)
-        client["upin"]["paths"].insert_one({"_id": 1})
-        hook = client.compaction_hook(every=2)
-        for _ in range(5):
-            hook(object())  # duck-typed RoundRecord
-        stats = client.wal_stats()
-        assert stats["compactions"] == 2
-        assert stats["checkpoints"] == 1  # rounds 2 ran a real one, 4 was idle
-        client.close()
-
-    def test_compaction_hook_validates_interval(self, tmp_path):
-        client = open_client(tmp_path)
-        with pytest.raises(ValueError):
-            client.compaction_hook(every=0)
-        client.close()
-
 
 # -- the auto-journaling client ---------------------------------------------
 
@@ -522,7 +505,7 @@ class TestDurableClient:
             stats = client.wal_stats()
         for key in (
             "fsync_policy", "last_lsn", "checkpoint_lsn", "segments",
-            "checkpoints", "compactions", "appends", "bytes_written",
+            "checkpoints", "appends", "bytes_written",
             "fsyncs", "rotations", "records_replayed", "torn_bytes_truncated",
         ):
             assert key in stats

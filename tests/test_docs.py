@@ -60,6 +60,22 @@ def test_link_checker_detects_breakage(tmp_path):
     }
 
 
+def test_link_checker_detects_stale_code_reference(tmp_path):
+    bad = tmp_path / "bad.md"
+    bad.write_text(
+        "`repro.suite.metrics.format_metrics` and `suite.metrics` live,\n"
+        "`suite.metrics.merge_snapshots` and `repro.docdb.gone()` do not;\n"
+        "`net.batch_series` is a counter name, not a module.\n"
+        "```\n`suite.metrics.in_a_fence`\n```\n",
+        encoding="utf-8",
+    )
+    checker = _load_link_checker()
+    assert checker.check_file(str(bad)) == [
+        ("suite.metrics.merge_snapshots", "stale code reference"),
+        ("repro.docdb.gone", "stale code reference"),
+    ]
+
+
 def test_monitor_md_event_table_matches_event_types():
     """docs/MONITOR.md's journal reference must cover EVENT_TYPES exactly.
 
@@ -143,14 +159,14 @@ def test_storage_md_fsync_table_matches_policies():
 
 
 def test_storage_md_example_is_consistent():
-    """The quickstart snippet must name real API: open/checkpoint/close."""
+    """The quickstart snippet must name real API: open/checkpoint."""
     from repro.docdb.client import DocDBClient
 
     with open(
         os.path.join(REPO_ROOT, "docs", "STORAGE.md"), encoding="utf-8"
     ) as fh:
         text = fh.read()
-    for attr in ("open", "checkpoint", "compaction_hook"):
+    for attr in ("open", "checkpoint"):
         assert hasattr(DocDBClient, attr)
         assert attr in text, f"STORAGE.md never mentions DocDBClient.{attr}"
 
@@ -186,14 +202,15 @@ def test_no_module_imports_threading():
 
 
 def test_architecture_md_net_counter_table_matches_metrics():
-    """The fast-path counter table must cover the NET_* names exactly.
+    """The fast-path counter table must cover the ``net.<slot>`` names
+    of every ``NetCounters`` slot exactly.
 
     A diff test, not a subset test: documenting a counter that no
     longer exists is as wrong as shipping an undocumented one.
     """
     import re
 
-    from repro.suite.metrics import _NET_STAT_NAMES
+    from repro.netsim.counters import NetCounters
 
     with open(
         os.path.join(REPO_ROOT, "docs", "ARCHITECTURE.md"), encoding="utf-8"
@@ -201,8 +218,8 @@ def test_architecture_md_net_counter_table_matches_metrics():
         text = fh.read()
     section = text.split("## Measurement fast path", 1)[1]
     section = section.split("\n## ", 1)[0]
-    documented = set(re.findall(r"^\| `([a-z_]+)` \|", section, re.M))
-    canonical = set(_NET_STAT_NAMES.values())
+    documented = set(re.findall(r"^\| `([a-z_.]+)` \|", section, re.M))
+    canonical = {f"net.{slot}" for slot in NetCounters.__slots__}
     assert documented == canonical, (
         f"docs/ARCHITECTURE.md net counter table out of sync: "
         f"undocumented={sorted(canonical - documented)} "

@@ -50,6 +50,7 @@ from repro.netsim.batch import (
 )
 from repro.netsim.config import NetworkConfig, UtilizationParams
 from repro.netsim.congestion import CongestionEpisode
+from repro.netsim.counters import NetCounters
 from repro.netsim.link import LinkDirection
 from repro.netsim.network import LinkTraversal, NetworkSim
 from repro.netsim.packet import PacketSpec
@@ -564,7 +565,7 @@ class TestCampaignGolden:
         digest, report = _campaign_digest()
         assert digest == BATCH_CAMPAIGN_SHA256
         assert report.stats_stored == 80
-        assert m.counter_value(report.metrics, m.NET_BATCH_SERIES) == 80
+        assert m.counter_value(report.metrics, "net.batch_series") == 80
 
 
 class TestTracerouteGolden:
@@ -818,18 +819,23 @@ class TestSamplingCache:
 
 class TestNetMetrics:
     def test_snapshot_names_cover_all_counters(self):
-        net = _fresh_net(7)
-        snapshot = m.network_stats_snapshot(net)
-        slots = set(net.counters.snapshot())
-        assert set(m._NET_STAT_NAMES) == slots
+        db = DocDBClient()["upin"]
+        seed_servers(db)
+        host = ScionHost.scionlab(seed=7)
+        report = TestRunner(host, db, SuiteConfig()).run(iterations=0)
+        counters = report.metrics["counters"]
+        assert {k for k in counters if k.startswith("net.")} == {
+            f"net.{slot}" for slot in NetCounters.__slots__
+        }
+        assert list(counters) == sorted(counters)
 
     def test_campaign_report_carries_data_plane_counters(self):
         digest, report = _campaign_digest()
-        assert m.counter_value(report.metrics, m.NET_BATCH_PACKETS) == 80 * 30
+        assert m.counter_value(report.metrics, "net.batch_packets") == 80 * 30
         # Every bwtest window lands at a fresh clock time in a serial
         # campaign, so the sampler cache records misses (hits come from
         # overlapping multi-user transfers, covered in TestSamplingCache).
-        assert m.counter_value(report.metrics, m.NET_SAMPLER_MISSES) > 0
+        assert m.counter_value(report.metrics, "net.sampler_misses") > 0
         text = m.format_metrics(report.metrics)
         assert "data plane:" in text
         assert "batch series" in text

@@ -159,19 +159,6 @@ class TestMetricsRegistry:
         assert m.counter_value(None, "nope") == 0.0
         assert m.histogram_stats({"counters": {}, "histograms": {}}, "nope") is None
 
-    def test_merge_is_order_independent(self):
-        a = m.MetricsRegistry()
-        b = m.MetricsRegistry()
-        a.inc("retries", 2)
-        b.inc("retries", 3)
-        a.observe("backoff_s", 1.0)
-        b.observe("backoff_s", 4.0)
-        merged_ab = m.merge_snapshots([a.snapshot(), b.snapshot()])
-        merged_ba = m.merge_snapshots([b.snapshot(), a.snapshot()])
-        assert merged_ab == merged_ba
-        assert merged_ab["counters"]["retries"] == 5
-        assert merged_ab["histograms"]["backoff_s"]["max"] == 4.0
-
     def test_format_metrics_renders_key_lines(self):
         reg = m.MetricsRegistry()
         reg.inc(m.RETRIES, 2)

@@ -10,11 +10,18 @@ verifies that
 * intra-document anchors (``#section``) match a heading slug in the
   same file, using GitHub's slugging rules (lowercase, punctuation
   dropped, spaces to dashes);
-* no link is empty.
+* no link is empty;
+* every backticked dotted name that starts with ``repro.`` or with a
+  ``repro`` subpackage (``suite.metrics.format_metrics``,
+  ``repro.docdb.format_plan``; an optional trailing ``()`` is allowed)
+  still names something: its module imports and each further part
+  resolves by ``getattr``.  Prose that names a deleted function fails
+  the check like a link to a deleted file.
 
 External ``http(s)://`` and ``mailto:`` links are *not* fetched — CI
 must stay offline/deterministic — they are only checked for obvious
-malformation (whitespace).  Exit code is the number of broken links.
+malformation (whitespace).  Exit code is the number of broken links
+and stale code references.
 
 Usage::
 
@@ -24,18 +31,31 @@ Usage::
 
 from __future__ import annotations
 
+import importlib
 import os
+import pkgutil
 import re
 import sys
 from typing import Iterable, List, Tuple
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_SRC = os.path.join(REPO_ROOT, "src")
+if _SRC not in sys.path:
+    sys.path.insert(0, _SRC)
+
+import repro  # noqa: E402  (needs ``src`` on the path)
 
 #: ``[text](target)`` / ``![alt](target)`` — target up to the first
 #: unescaped ``)``; optional ``"title"`` suffixes are stripped below.
 _LINK_RE = re.compile(r"!?\[[^\]]*\]\(([^)\s]+(?:\s+\"[^\"]*\")?)\)")
 _HEADING_RE = re.compile(r"^#{1,6}\s+(.*)$")
 _CODE_FENCE_RE = re.compile(r"^(```|~~~)")
+_SUBPACKAGES = sorted(
+    m.name for m in pkgutil.iter_modules(repro.__path__) if m.ispkg
+)
+_CODE_REF_RE = re.compile(
+    r"`((?:repro|%s)(?:\.\w+)+)(?:\(\))?`" % "|".join(_SUBPACKAGES)
+)
 
 
 def github_slug(heading: str) -> str:
@@ -62,17 +82,46 @@ def heading_slugs(markdown: str) -> List[str]:
     return slugs
 
 
-def iter_links(markdown: str) -> Iterable[str]:
+def _prose_lines(markdown: str) -> Iterable[str]:
+    """Every line outside fenced code blocks."""
     in_fence = False
     for line in markdown.splitlines():
         if _CODE_FENCE_RE.match(line.strip()):
             in_fence = not in_fence
             continue
-        if in_fence:
-            continue
+        if not in_fence:
+            yield line
+
+
+def iter_links(markdown: str) -> Iterable[str]:
+    for line in _prose_lines(markdown):
         for match in _LINK_RE.finditer(line):
             target = match.group(1).split(' "')[0].strip()
             yield target
+
+
+def iter_code_refs(markdown: str) -> Iterable[str]:
+    """Backticked dotted names rooted in the ``repro`` package."""
+    for line in _prose_lines(markdown):
+        for match in _CODE_REF_RE.finditer(line):
+            yield match.group(1)
+
+
+def resolves(name: str) -> bool:
+    """Whether ``name`` (``repro.``-prefixed or not) imports and getattrs."""
+    parts = name.split(".")
+    if parts[0] != "repro":
+        parts.insert(0, "repro")
+    obj = repro
+    for i, part in enumerate(parts[1:], start=2):
+        if hasattr(obj, part):
+            obj = getattr(obj, part)
+            continue
+        try:
+            obj = importlib.import_module(".".join(parts[:i]))
+        except ImportError:
+            return False
+    return True
 
 
 def check_file(path: str) -> List[Tuple[str, str]]:
@@ -97,6 +146,9 @@ def check_file(path: str) -> List[Tuple[str, str]]:
             )
             if not os.path.exists(resolved):
                 broken.append((target, f"missing file: {resolved}"))
+    for name in iter_code_refs(markdown):
+        if not resolves(name):
+            broken.append((name, "stale code reference"))
     return broken
 
 
@@ -113,17 +165,20 @@ def main(argv: List[str]) -> int:
     files = argv or default_files()
     total_broken = 0
     total_links = 0
+    total_refs = 0
     for path in files:
         with open(path, encoding="utf-8") as fh:
-            total_links += sum(1 for _ in iter_links(fh.read()))
+            markdown = fh.read()
+        total_links += sum(1 for _ in iter_links(markdown))
+        total_refs += sum(1 for _ in iter_code_refs(markdown))
         for target, reason in check_file(path):
             rel_path = os.path.relpath(path, REPO_ROOT)
-            print(f"{rel_path}: broken link {target!r} ({reason})")
+            print(f"{rel_path}: broken {target!r} ({reason})")
             total_broken += 1
     checked = [os.path.relpath(p, REPO_ROOT) for p in files]
     print(
-        f"checked {total_links} links across {len(checked)} files: "
-        f"{total_broken} broken"
+        f"checked {total_links} links and {total_refs} code references "
+        f"across {len(checked)} files: {total_broken} broken"
     )
     return total_broken
 

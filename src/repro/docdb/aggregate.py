@@ -3,22 +3,26 @@
 Stages: ``$match``, ``$group``, ``$sort``, ``$limit``, ``$skip`` and
 ``$count`` — the paper's selection queries are ``$match`` + ``$group``
 (§4.1–4.2).  Group accumulators: ``$sum``, ``$avg``, ``$min``, ``$max``,
-``$push``, ``$addToSet``, ``$first``, ``$last``.  Expressions are field
-references (``"$field.path"``) or constants.
+``$stdDevPop`` (population standard deviation), ``$push``,
+``$addToSet``, ``$first``, ``$last``; the numeric ones skip non-numeric
+values and bools.  Expressions are field references
+(``"$field.path"``) or constants.
 """
 
 from __future__ import annotations
 
 from numbers import Number
-from typing import Any, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Tuple
+
+import numpy as np
 
 from repro.docdb.document import get_path
 from repro.docdb.query import matches
 from repro.errors import QueryError
 
-_ACCUMULATORS = frozenset(
-    {"$sum", "$avg", "$min", "$max", "$push", "$addToSet", "$first", "$last"}
-)
+_ACCUMULATORS = frozenset({
+    "$sum", "$avg", "$min", "$max", "$stdDevPop", "$push", "$addToSet", "$first", "$last",
+})
 
 #: Stages the pipeline executor implements (kept in sync with
 #: ``run_pipeline``'s dispatch; docs/DATABASE.md documents each one).
@@ -89,33 +93,56 @@ def evaluate(doc: Dict[str, Any], expr: Any) -> Any:
 def _group_stage(
     docs: List[Dict[str, Any]], spec: Dict[str, Any]
 ) -> List[Dict[str, Any]]:
+    """One pass: each document appends one value per accumulator to its
+    group's columns; groups keep their order of first appearance."""
     if "_id" not in spec:
         raise QueryError("$group requires an _id expression")
-    key_expr = spec["_id"]
-    groups: Dict[str, Tuple[Any, List[Dict[str, Any]]]] = {}
+    key_of = _getter(spec["_id"])
+    accumulators: List[Tuple[str, str, Callable[[Dict[str, Any]], Any]]] = []
+    for field_name, acc_spec in spec.items():
+        if field_name == "_id":
+            continue
+        if not isinstance(acc_spec, dict) or len(acc_spec) != 1:
+            raise QueryError(f"bad accumulator for {field_name!r}: {acc_spec}")
+        acc, expr = next(iter(acc_spec.items()))
+        if acc not in _ACCUMULATORS:
+            raise QueryError(f"unsupported accumulator: {acc}")
+        accumulators.append((field_name, acc, _getter(expr)))
+
+    groups: Dict[str, Tuple[Any, List[List[Any]]]] = {}
     for doc in docs:
-        key_value = evaluate(doc, key_expr)
-        bucket = groups.setdefault(repr(key_value), (key_value, []))
-        bucket[1].append(doc)
+        key_value = key_of(doc)
+        key = repr(key_value)
+        bucket = groups.get(key)
+        if bucket is None:
+            bucket = groups[key] = (key_value, [[] for _ in accumulators])
+        for column, (_, _, value_of) in zip(bucket[1], accumulators):
+            column.append(value_of(doc))
 
     out: List[Dict[str, Any]] = []
-    for key_value, members in groups.values():
+    for key_value, columns in groups.values():
         result: Dict[str, Any] = {"_id": key_value}
-        for field_name, acc_spec in spec.items():
-            if field_name == "_id":
-                continue
-            if not isinstance(acc_spec, dict) or len(acc_spec) != 1:
-                raise QueryError(f"bad accumulator for {field_name!r}: {acc_spec}")
-            acc, expr = next(iter(acc_spec.items()))
-            if acc not in _ACCUMULATORS:
-                raise QueryError(f"unsupported accumulator: {acc}")
-            result[field_name] = _accumulate(acc, expr, members)
+        for (field_name, acc, _), values in zip(accumulators, columns):
+            result[field_name] = _accumulate(acc, values)
         out.append(result)
     return out
 
 
-def _accumulate(acc: str, expr: Any, members: List[Dict[str, Any]]) -> Any:
-    values = [evaluate(d, expr) for d in members]
+def _getter(expr: Any) -> Callable[[Dict[str, Any]], Any]:
+    """:func:`evaluate` bound to one expression; a field reference is
+    parsed once, and an undotted one reads a (dict) document with one
+    ``get``."""
+    if isinstance(expr, str) and expr.startswith("$"):
+        path = expr[1:]
+        if path and "." not in path:
+            return lambda doc: doc.get(path)
+        return lambda doc: get_path(doc, path)[1]
+    if isinstance(expr, (dict, list)):
+        return lambda doc: evaluate(doc, expr)
+    return lambda doc: expr
+
+
+def _accumulate(acc: str, values: List[Any]) -> Any:
     if acc == "$push":
         return values
     if acc == "$addToSet":
@@ -128,7 +155,9 @@ def _accumulate(acc: str, expr: Any, members: List[Dict[str, Any]]) -> Any:
         return values[0] if values else None
     if acc == "$last":
         return values[-1] if values else None
-    numeric = [v for v in values if isinstance(v, Number) and not isinstance(v, bool)]
+    # Exact int/float first: the Number ABC check is the slow part.
+    numeric = [v for v in values if type(v) in (float, int)
+               or (isinstance(v, Number) and not isinstance(v, bool))]
     if acc == "$sum":
         return sum(numeric) if numeric else 0
     if acc == "$avg":
@@ -137,6 +166,8 @@ def _accumulate(acc: str, expr: Any, members: List[Dict[str, Any]]) -> Any:
         return min(numeric) if numeric else None
     if acc == "$max":
         return max(numeric) if numeric else None
+    if acc == "$stdDevPop":
+        return float(np.std(numeric)) if numeric else None
     raise QueryError(f"unhandled accumulator: {acc}")  # pragma: no cover
 
 

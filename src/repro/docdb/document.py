@@ -123,18 +123,23 @@ def get_path(doc: Any, path: str) -> Tuple[bool, Any]:
 
     Follows Mongo rules: a numeric component indexes into arrays; a
     non-numeric component applied to an array maps over its elements
-    (handled by callers via :func:`iter_path_values`).
+    (handled by callers via :func:`iter_path_values`).  A non-empty
+    undotted path on a dict is one lookup.
     """
-    values = list(iter_path_values(doc, path))
-    if not values:
-        return False, None
-    return True, values[0]
+    if path and "." not in path and isinstance(doc, dict):
+        value = doc.get(path, _MISSING)
+        return (False, None) if value is _MISSING else (True, value)
+    for value in _walk(doc, path.split(".") if path else []):
+        return True, value
+    return False, None
 
 
 def iter_path_values(doc: Any, path: str) -> Iterator[Any]:
-    """Yield every value reachable at ``path`` (array fan-out included)."""
-    parts = path.split(".") if path else []
-    yield from _walk(doc, parts)
+    """Every value reachable at ``path`` (array fan-out included)."""
+    if path and "." not in path and isinstance(doc, dict):
+        value = doc.get(path, _MISSING)
+        return iter(() if value is _MISSING else (value,))
+    return _walk(doc, path.split(".") if path else [])
 
 
 def _walk(value: Any, parts: List[str]) -> Iterator[Any]:

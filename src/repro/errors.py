@@ -118,9 +118,5 @@ class CryptoError(ReproError):
     """Base class for PKI failures."""
 
 
-class SignatureError(CryptoError):
-    """A signature failed verification."""
-
-
 class CertificateError(CryptoError):
     """A certificate is invalid, expired, or its chain does not verify."""

@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.docdb.database import Database
 from repro.errors import NoPathError
 from repro.selection.policies import (
@@ -87,7 +85,7 @@ class PathSelector:
                         "_id": "$path_id",
                         "samples": {"$sum": 1},
                         "avg_latency": {"$avg": "$avg_latency_ms"},
-                        "latencies": {"$push": "$avg_latency_ms"},
+                        "latency_stddev": {"$stdDevPop": "$avg_latency_ms"},
                         "avg_loss": {"$avg": "$loss_pct"},
                         "avg_bw_down": {"$avg": "$bw_down_mtu_mbps"},
                         "avg_bw_up": {"$avg": "$bw_up_mtu_mbps"},
@@ -103,10 +101,6 @@ class PathSelector:
             g = by_path.get(path_doc["_id"])
             if g is None:
                 continue
-            latencies = [l for l in g["latencies"] if l is not None]
-            stddev = float(np.std(latencies)) if len(latencies) >= 2 else (
-                0.0 if latencies else None
-            )
             out.append(
                 PathAggregate(
                     path_id=str(path_doc["_id"]),
@@ -116,10 +110,12 @@ class PathSelector:
                     ases=list(path_doc["ases"]),
                     samples=int(g["samples"]),
                     avg_latency_ms=g["avg_latency"],
-                    latency_stddev_ms=stddev,
+                    latency_stddev_ms=g["latency_stddev"],
                     avg_loss_pct=float(g["avg_loss"] or 0.0),
                     avg_bw_down_mbps=g["avg_bw_down"],
                     avg_bw_up_mbps=g["avg_bw_up"],
+                    sequence=str(path_doc.get("sequence", "")),
+                    hops_display=str(path_doc.get("hops_display", "")),
                 )
             )
         return out
@@ -208,13 +204,12 @@ class PathSelector:
         return result
 
     def _rank(self, agg: PathAggregate, policy: Policy) -> RankedPath:
-        path_doc = self.db[PATHS_COLLECTION].find_one({"_id": agg.path_id}) or {}
         return RankedPath(
             aggregate=agg,
             score=policy.score(agg),
             explanation=policy.describe(agg),
-            sequence=str(path_doc.get("sequence", "")),
-            hops_display=str(path_doc.get("hops_display", "")),
+            sequence=agg.sequence,
+            hops_display=agg.hops_display,
         )
 
     # -- recommendation (the paper's stated future-work feature) ---------------------------

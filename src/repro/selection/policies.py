@@ -30,6 +30,9 @@ class PathAggregate:
     avg_loss_pct: float
     avg_bw_down_mbps: Optional[float]
     avg_bw_up_mbps: Optional[float]
+    #: The stored path's ``sequence`` and ``hops_display`` fields.
+    sequence: str = ""
+    hops_display: str = ""
 
     def usable(self) -> bool:
         """A path with zero successful samples cannot be recommended."""

@@ -127,17 +127,17 @@ def format_wal_stats(stats: Dict[str, Any], *, indent: str = "  ") -> str:
     if not stats:
         return ""
     lines = [
-        f"{indent}wal: {stats['appends']:g} appends "
-        f"({stats['bytes_written']:g} bytes), {stats['fsyncs']:g} fsyncs, "
-        f"{stats['rotations']:g} rotations",
-        f"{indent}wal: lsn {stats['last_lsn']:g} "
-        f"(checkpoint {stats['checkpoint_lsn']:g}, "
-        f"{stats['checkpoints']:g} checkpoints, "
-        f"{stats['records_replayed']:g} records replayed at open)",
+        f"{indent}wal: {stats['appends']:.0f} appends "
+        f"({stats['bytes_written']:.0f} bytes), {stats['fsyncs']:.0f} fsyncs, "
+        f"{stats['rotations']:.0f} rotations",
+        f"{indent}wal: lsn {stats['last_lsn']:.0f} "
+        f"(checkpoint {stats['checkpoint_lsn']:.0f}, "
+        f"{stats['checkpoints']:.0f} checkpoints, "
+        f"{stats['records_replayed']:.0f} records replayed at open)",
     ]
     torn = stats["torn_bytes_truncated"]
     if torn:
-        lines.append(f"{indent}wal: torn tail rolled back ({torn:g} bytes)")
+        lines.append(f"{indent}wal: torn tail rolled back ({torn:.0f} bytes)")
     return "\n".join(lines)
 
 
@@ -154,9 +154,9 @@ def format_database_stats(db: Any, *, indent: str = "  ") -> str:
     if not any((hits, scans, examined, cache_h, cache_m)):
         return ""
     lines = [
-        f"{indent}query planner: {hits:g} index hits, {scans:g} collection "
-        f"scans, {examined:g} docs examined",
-        f"{indent}query cache: {cache_h:g} hits / {cache_m:g} misses",
+        f"{indent}query planner: {hits:.0f} index hits, {scans:.0f} collection "
+        f"scans, {examined:.0f} docs examined",
+        f"{indent}query cache: {cache_h:.0f} hits / {cache_m:.0f} misses",
     ]
     return "\n".join(lines)
 
@@ -172,21 +172,21 @@ def format_metrics(snapshot: Optional[Dict[str, Any]], *, indent: str = "  ") ->
     if retries or exhausted:
         backoff_total = backoff["total"] if backoff else 0.0
         lines.append(
-            f"{indent}retries: {retries:g} "
-            f"(gave up: {exhausted:g}, backoff: {backoff_total:.2f} sim s)"
+            f"{indent}retries: {retries:.0f} "
+            f"(gave up: {exhausted:.0f}, backoff: {backoff_total:.2f} sim s)"
         )
     batches = histogram_stats(snapshot, BATCH_SIZE)
     if batches and batches["count"]:
         mean = batches["total"] / batches["count"]
         lines.append(
             f"{indent}batches: {batches['count']} flushed "
-            f"(avg {mean:.1f} docs, max {batches['max']:g})"
+            f"(avg {mean:.1f} docs, max {batches['max']:.0f})"
         )
     failures = counter_value(snapshot, FLUSH_FAILURES)
     lost = counter_value(snapshot, DOCS_LOST)
     if failures or lost:
         lines.append(
-            f"{indent}flush failures: {failures:g} ({lost:g} documents lost)"
+            f"{indent}flush failures: {failures:.0f} ({lost:.0f} documents lost)"
         )
     probes = counter_value(snapshot, MON_PROBES)
     breaches = counter_value(snapshot, MON_BREACHES)
@@ -195,8 +195,8 @@ def format_metrics(snapshot: Optional[Dict[str, Any]], *, indent: str = "  ") ->
         suppressed = counter_value(snapshot, MON_FLAPS_SUPPRESSED)
         mttr = histogram_stats(snapshot, MON_MTTR_S)
         line = (
-            f"{indent}monitor: {probes:g} probes, {breaches:g} breaches, "
-            f"{failovers:g} failovers ({suppressed:g} flaps suppressed)"
+            f"{indent}monitor: {probes:.0f} probes, {breaches:.0f} breaches, "
+            f"{failovers:.0f} failovers ({suppressed:.0f} flaps suppressed)"
         )
         if mttr and mttr["count"]:
             line += f", MTTR {mttr['total'] / mttr['count']:.1f} sim s"
@@ -205,16 +205,16 @@ def format_metrics(snapshot: Optional[Dict[str, Any]], *, indent: str = "  ") ->
     batch_packets = counter_value(snapshot, "net.batch_packets")
     if batch_series:
         lines.append(
-            f"{indent}data plane: {batch_series:g} batch series "
-            f"({batch_packets:g} packets)"
+            f"{indent}data plane: {batch_series:.0f} batch series "
+            f"({batch_packets:.0f} packets)"
         )
         sampler_h = counter_value(snapshot, "net.sampler_hits")
         sampler_m = counter_value(snapshot, "net.sampler_misses")
         pruned = counter_value(snapshot, "net.ledger_pruned_flows")
         if sampler_h or sampler_m or pruned:
             lines.append(
-                f"{indent}data plane: sampler cache {sampler_h:g} hits / "
-                f"{sampler_m:g} misses, {pruned:g} ledger flows pruned"
+                f"{indent}data plane: sampler cache {sampler_h:.0f} hits / "
+                f"{sampler_m:.0f} misses, {pruned:.0f} ledger flows pruned"
             )
     wall = histogram_stats(snapshot, DEST_WALL_S)
     sim = histogram_stats(snapshot, DEST_SIM_S)

@@ -1,8 +1,11 @@
 """Tests for document primitives (repro.docdb.document)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.docdb.document import (
+    _walk,
     get_path,
     iter_path_values,
     new_object_id,
@@ -78,3 +81,42 @@ class TestPathResolution:
 
     def test_empty_path_returns_doc(self):
         assert get_path(self.DOC, "") == (True, self.DOC)
+
+
+_leaves = st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=2))
+_keys = st.sampled_from(["a", "b", "0", "1", ""])
+_trees = st.recursive(
+    _leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(_keys, inner, max_size=3)
+    ),
+    max_leaves=8,
+)
+_paths = st.lists(_keys, max_size=3).map(".".join)
+
+
+def _walk_values(doc, path):
+    return list(_walk(doc, path.split(".") if path else []))
+
+
+class TestFastPathAgreesWithWalk:
+    """The one-lookup read of an undotted field on a dict gives what the
+    generic walk gives, for every path and container shape."""
+
+    @given(_trees, _paths)
+    @settings(max_examples=400)
+    def test_iter_path_values(self, doc, path):
+        assert list(iter_path_values(doc, path)) == _walk_values(doc, path)
+
+    @given(_trees, _paths)
+    @settings(max_examples=400)
+    def test_get_path(self, doc, path):
+        values = _walk_values(doc, path)
+        want = (True, values[0]) if values else (False, None)
+        got = get_path(doc, path)
+        assert got == want and got[1] is want[1]
+
+    @pytest.mark.parametrize("doc", [{"a": 1}, [1, 2], 5, None, "s"])
+    def test_empty_path_returns_the_value_itself(self, doc):
+        assert get_path(doc, "")[1] is doc
+        assert [v is doc for v in iter_path_values(doc, "")] == [True]

@@ -17,7 +17,7 @@ import sys
 
 import pytest
 
-from repro.docdb.aggregate import SUPPORTED_STAGES
+from repro.docdb.aggregate import _ACCUMULATORS, SUPPORTED_STAGES
 from repro.docdb.cache import QueryCache, freeze
 from repro.docdb.collection import Collection
 from repro.docdb.planner import (
@@ -315,6 +315,13 @@ class TestDocsStayInSync:
         section = self._section(doc, "## Aggregation pipeline", "## Index creation")
         documented = set(re.findall(r"^\| `(\$\w+)`", section, flags=re.M))
         assert documented == set(SUPPORTED_STAGES)
+
+    def test_group_accumulators_match_executor(self):
+        with open(os.path.join(DOCS_DIR, "DATABASE.md"), encoding="utf-8") as fh:
+            doc = fh.read()
+        row = re.search(r"^\| `\$group` \|(.*)$", doc, flags=re.M).group(1)
+        documented = set(re.findall(r"`(\$\w+)`", row.split("accumulators", 1)[1]))
+        assert documented == set(_ACCUMULATORS)
 
 
 class TestIndexManagement:

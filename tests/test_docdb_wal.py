@@ -153,6 +153,15 @@ class TestWalWriter:
                 wal.append(OP_INSERT, "d", "c", {"document": {"_id": i}})
             assert wal.stats["fsyncs"] == 2  # after #2 and #4
 
+    def test_never_policy_fsyncs_on_neither_rotation_nor_close(self, tmp_path):
+        wal = WalWriter(wal_dir(tmp_path), fsync="never", segment_bytes=96)
+        for i in range(6):
+            wal.append(OP_INSERT, "d", "c", {"document": {"_id": i}})
+        wal.close()
+        assert wal.stats["rotations"] >= 1
+        assert wal.stats["fsyncs"] == 0
+        assert [r.lsn for r in wal_records(tmp_path)] == list(range(1, 7))
+
     def test_sync_returns_last_durable_lsn(self, tmp_path):
         with WalWriter(wal_dir(tmp_path), fsync="never") as wal:
             wal.append(OP_INSERT, "d", "c", {"document": {"_id": 1}})

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.docdb.collection import Collection
 from repro.errors import NoPathError, ValidationError
 from repro.selection.engine import PathSelector
 from repro.selection.policies import (
@@ -16,6 +17,7 @@ from repro.selection.policies import (
     policy_for,
 )
 from repro.selection.request import Metric, UserRequest
+from repro.suite.config import PATHS_COLLECTION
 
 
 def _agg(path_id="1_0", **kw):
@@ -158,6 +160,23 @@ class TestSelectorOnCampaign:
         result = selector.select(UserRequest.make(1, Metric.LATENCY), top_k=5)
         scores = [r.score for r in result.ranked]
         assert scores == sorted(scores)
+
+    def test_select_reads_paths_once(self, selector, measured_world, monkeypatch):
+        reads = []
+        for name in ("find", "find_one"):
+            def counted(coll, *args, _read=getattr(Collection, name), _name=name, **kw):
+                if coll.name == PATHS_COLLECTION:
+                    reads.append(_name)
+                return _read(coll, *args, **kw)
+
+            monkeypatch.setattr(Collection, name, counted)
+        result = selector.select(UserRequest.make(1, Metric.LATENCY), top_k=5)
+        assert len(result.ranked) == 5
+        assert reads == ["find"]
+        monkeypatch.undo()
+        for ranked in result.ranked:
+            doc = measured_world.db[PATHS_COLLECTION].find_one({"_id": ranked.aggregate.path_id})
+            assert (ranked.sequence, ranked.hops_display) == (doc["sequence"], doc["hops_display"])
 
     def test_country_exclusion(self, selector):
         result = selector.select(

@@ -172,6 +172,22 @@ class TestMetricsRegistry:
         assert "batches: 1 flushed" in text
         assert m.format_metrics({}) == ""
 
+    def test_counts_print_as_exact_integers(self):
+        stats = {
+            "appends": 466, "bytes_written": 1157620, "fsyncs": 0,
+            "rotations": 1, "last_lsn": 466, "checkpoint_lsn": 0,
+            "checkpoints": 1, "records_replayed": 0,
+            "torn_bytes_truncated": 12345678,
+        }
+        text = m.format_wal_stats(stats)
+        assert "wal: 466 appends (1157620 bytes), 0 fsyncs, 1 rotations" in text
+        assert "torn tail rolled back (12345678 bytes)" in text
+        reg = m.MetricsRegistry()
+        reg.inc("net.batch_series", 2_000_000)
+        reg.inc("net.batch_packets", 60_000_001)
+        text = m.format_metrics(reg.snapshot())
+        assert "data plane: 2000000 batch series (60000001 packets)" in text
+
 
 def _backoff_s(report: CampaignReport) -> float:
     """Simulated seconds the campaign spent in retry backoff."""

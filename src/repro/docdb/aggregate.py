@@ -7,12 +7,21 @@ Stages: ``$match``, ``$group``, ``$sort``, ``$limit``, ``$skip`` and
 ``$addToSet``, ``$first``, ``$last``; the numeric ones skip non-numeric
 values and bools.  Expressions are field references
 (``"$field.path"``) or constants.
+
+``$group`` is a fold plus a finish (:class:`GroupColumns`): documents
+are folded into per-group value columns, and the finish reduces the
+columns to output documents.  A full stage is a fold from empty, and
+:meth:`~repro.docdb.collection.Collection.aggregate` answers a
+``[$match, $group, ...]`` pipeline after inserts by folding only the
+new documents into the columns it kept.  Its input is the matched
+documents in storage order, so both give the same columns, bit for
+bit.
 """
 
 from __future__ import annotations
 
 from numbers import Number
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Tuple
 
 import numpy as np
 
@@ -20,9 +29,10 @@ from repro.docdb.document import get_path
 from repro.docdb.query import matches
 from repro.errors import QueryError
 
-_ACCUMULATORS = frozenset({
-    "$sum", "$avg", "$min", "$max", "$stdDevPop", "$push", "$addToSet", "$first", "$last",
-})
+#: Accumulators whose columns keep numbers only.
+_NUMERIC = frozenset({"$sum", "$avg", "$min", "$max", "$stdDevPop"})
+_ACCUMULATORS = _NUMERIC | {"$push", "$addToSet", "$first", "$last"}
+_EXACT_NUMBERS = (float, int)
 
 #: Stages the pipeline executor implements (kept in sync with
 #: ``run_pipeline``'s dispatch; docs/DATABASE.md documents each one).
@@ -93,39 +103,76 @@ def evaluate(doc: Dict[str, Any], expr: Any) -> Any:
 def _group_stage(
     docs: List[Dict[str, Any]], spec: Dict[str, Any]
 ) -> List[Dict[str, Any]]:
-    """One pass: each document appends one value per accumulator to its
-    group's columns; groups keep their order of first appearance."""
-    if "_id" not in spec:
-        raise QueryError("$group requires an _id expression")
-    key_of = _getter(spec["_id"])
-    accumulators: List[Tuple[str, str, Callable[[Dict[str, Any]], Any]]] = []
-    for field_name, acc_spec in spec.items():
-        if field_name == "_id":
-            continue
-        if not isinstance(acc_spec, dict) or len(acc_spec) != 1:
-            raise QueryError(f"bad accumulator for {field_name!r}: {acc_spec}")
-        acc, expr = next(iter(acc_spec.items()))
-        if acc not in _ACCUMULATORS:
-            raise QueryError(f"unsupported accumulator: {acc}")
-        accumulators.append((field_name, acc, _getter(expr)))
+    """A full ``$group``: a fold from empty, then the finish."""
+    columns = GroupColumns(spec)
+    columns.fold(docs)
+    return columns.finish()
 
-    groups: Dict[str, Tuple[Any, List[List[Any]]]] = {}
-    for doc in docs:
-        key_value = key_of(doc)
-        key = repr(key_value)
-        bucket = groups.get(key)
-        if bucket is None:
-            bucket = groups[key] = (key_value, [[] for _ in accumulators])
-        for column, (_, _, value_of) in zip(bucket[1], accumulators):
-            column.append(value_of(doc))
 
-    out: List[Dict[str, Any]] = []
-    for key_value, columns in groups.values():
-        result: Dict[str, Any] = {"_id": key_value}
-        for (field_name, acc, _), values in zip(accumulators, columns):
-            result[field_name] = _accumulate(acc, values)
-        out.append(result)
-    return out
+class GroupColumns:
+    """A ``$group`` stage's running state: per group, its key and one
+    column of values per accumulator, groups in order of first
+    appearance.
+
+    :meth:`fold` appends each document's values to its group's columns;
+    numeric accumulators (``$sum``, ``$avg``, ``$min``, ``$max``,
+    ``$stdDevPop``) drop non-numeric values and bools right there, so
+    :meth:`finish` reduces each column with C-level ``sum``/``len``/
+    ``min``/``max`` or ``np.std``.  Folding documents in two calls
+    gives the columns one call over both would, so
+    :meth:`~repro.docdb.collection.Collection.aggregate` folds only the
+    documents inserted since its last answer into the columns it kept.
+    The spec is checked when the state is built, before any document.
+    """
+
+    def __init__(self, spec: Dict[str, Any]) -> None:
+        if "_id" not in spec:
+            raise QueryError("$group requires an _id expression")
+        self._key_of = _getter(spec["_id"])
+        #: (output field, accumulator) per column, in spec order.
+        self._outputs: List[Tuple[str, str]] = []
+        #: (value getter, numeric-only) per column.
+        self._inputs: List[Tuple[Callable[[Dict[str, Any]], Any], bool]] = []
+        for field_name, acc_spec in spec.items():
+            if field_name == "_id":
+                continue
+            if not isinstance(acc_spec, dict) or len(acc_spec) != 1:
+                raise QueryError(f"bad accumulator for {field_name!r}: {acc_spec}")
+            acc, expr = next(iter(acc_spec.items()))
+            if acc not in _ACCUMULATORS:
+                raise QueryError(f"unsupported accumulator: {acc}")
+            self._outputs.append((field_name, acc))
+            self._inputs.append((_getter(expr), acc in _NUMERIC))
+        #: repr(key) -> (key, columns)
+        self._groups: Dict[str, Tuple[Any, List[List[Any]]]] = {}
+
+    def fold(self, docs: Iterable[Dict[str, Any]]) -> None:
+        """Append each document's values to its group's columns."""
+        groups, key_of, inputs = self._groups, self._key_of, self._inputs
+        for doc in docs:
+            key_value = key_of(doc)
+            key = repr(key_value)
+            bucket = groups.get(key)
+            if bucket is None:
+                bucket = groups[key] = (key_value, [[] for _ in inputs])
+            for column, (value_of, numeric) in zip(bucket[1], inputs):
+                value = value_of(doc)
+                # Exact int/float first: the Number ABC check is the slow part.
+                if numeric and type(value) not in _EXACT_NUMBERS and (
+                    isinstance(value, bool) or not isinstance(value, Number)
+                ):
+                    continue
+                column.append(value)
+
+    def finish(self) -> List[Dict[str, Any]]:
+        """The stage's output documents; the columns stay foldable."""
+        out: List[Dict[str, Any]] = []
+        for key_value, columns in self._groups.values():
+            result: Dict[str, Any] = {"_id": key_value}
+            for (field_name, acc), values in zip(self._outputs, columns):
+                result[field_name] = _finish(acc, values)
+            out.append(result)
+        return out
 
 
 def _getter(expr: Any) -> Callable[[Dict[str, Any]], Any]:
@@ -142,9 +189,10 @@ def _getter(expr: Any) -> Callable[[Dict[str, Any]], Any]:
     return lambda doc: expr
 
 
-def _accumulate(acc: str, values: List[Any]) -> Any:
+def _finish(acc: str, values: List[Any]) -> Any:
+    """Reduce one column; numeric columns hold numbers only."""
     if acc == "$push":
-        return values
+        return list(values)
     if acc == "$addToSet":
         out: List[Any] = []
         for v in values:
@@ -155,19 +203,18 @@ def _accumulate(acc: str, values: List[Any]) -> Any:
         return values[0] if values else None
     if acc == "$last":
         return values[-1] if values else None
-    # Exact int/float first: the Number ABC check is the slow part.
-    numeric = [v for v in values if type(v) in (float, int)
-               or (isinstance(v, Number) and not isinstance(v, bool))]
+    if not values:
+        return 0 if acc == "$sum" else None
     if acc == "$sum":
-        return sum(numeric) if numeric else 0
+        return sum(values)
     if acc == "$avg":
-        return sum(numeric) / len(numeric) if numeric else None
+        return sum(values) / len(values)
     if acc == "$min":
-        return min(numeric) if numeric else None
+        return min(values)
     if acc == "$max":
-        return max(numeric) if numeric else None
+        return max(values)
     if acc == "$stdDevPop":
-        return float(np.std(numeric)) if numeric else None
+        return float(np.std(values))
     raise QueryError(f"unhandled accumulator: {acc}")  # pragma: no cover
 
 

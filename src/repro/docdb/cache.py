@@ -11,7 +11,10 @@ exactly that shape:
   not once per document — see ``Collection._bump_epoch``);
 * cache entries remember the epoch they were computed under and are
   dropped on first access after any write (epoch mismatch), so a served
-  entry is always exact and needs no expiry clock;
+  entry is always exact and needs no expiry clock; the dropped value
+  still goes to a caller that asks through :meth:`QueryCache.entry`,
+  which is how ``Collection.aggregate`` folds new documents into a
+  kept ``$group`` state;
 * an LRU bound caps memory.
 
 Keys are produced by :func:`freeze`, which converts a filter/pipeline
@@ -89,19 +92,29 @@ class QueryCache:
 
     def get(self, key: Hashable, epoch: int) -> Optional[Any]:
         """Cached value for ``key`` at ``epoch``; None on miss/stale."""
+        entry = self.entry(key, epoch)
+        return entry[1] if entry is not None and entry[0] == epoch else None
+
+    def entry(self, key: Hashable, epoch: int) -> Optional[Tuple[int, Any]]:
+        """``(epoch it was computed at, value)`` for ``key``, or None.
+
+        A stale entry (computed at another epoch) counts as a miss, is
+        dropped and is still returned, so a caller that can bring its
+        value up to date (the ``$group`` fold) need not start over; it
+        puts the updated value back itself.
+        """
         entry = self._entries.get(key)
         if entry is None:
             self.misses += 1
             return None
-        cached_epoch, value = entry
-        if cached_epoch != epoch:
+        if entry[0] != epoch:
             del self._entries[key]
             self.invalidations += 1
             self.misses += 1
-            return None
+            return entry
         self._entries.move_to_end(key)
         self.hits += 1
-        return value
+        return entry
 
     def put(self, key: Hashable, epoch: int, value: Any) -> None:
         """Store ``value`` computed at ``epoch``, evicting LRU overflow."""

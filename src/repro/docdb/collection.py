@@ -18,7 +18,12 @@ Write/epoch contract (the cache-invalidation backbone):
   the epoch they were computed under and are never served across a
   bump.  Every mutating path bumps — inserts, replacements, deletes,
   ``create_index``/``drop_index``, bulk loads and WAL replay — so a
-  cached result is always exact and needs no expiry.
+  cached result is always exact and needs no expiry;
+* a write that only inserted documents (``insert_one``,
+  ``insert_many``, ``load_documents``, an upsert) bumps as an
+  *append*: a kept ``$group`` state may fold the appended documents in
+  (:meth:`Collection.aggregate`), and every other write makes it
+  rebuild.
 
 Copy contract: a document crosses the collection boundary as one copy
 each way.  Writes store the validating copy that
@@ -36,7 +41,9 @@ Query statistics (``Collection.stats``):
 ``scans``          full collection scans executed (``COLLSCAN`` plans)
 ``index_hits``     index-answered queries (``IXSCAN``/``IDHACK`` plans)
 ``docs_examined``  documents materialised and run through the residual
-                   filter — reconciles with ``explain()``'s
+                   filter, by a plan or by a ``$group`` fold
+                   (:meth:`Collection.aggregate`) — a plan's count
+                   reconciles with ``explain()``'s
                    ``executionStats.docsExamined``
 ``explains``       ``explain()`` calls
 
@@ -48,6 +55,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
+from itertools import islice
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.docdb.cache import QueryCache, freeze
@@ -151,6 +159,9 @@ class Collection:
         self._planner = QueryPlanner(self)
         self.cache = QueryCache()
         self._epoch = 0
+        #: The epoch since which every write only inserted documents
+        #: (see :meth:`aggregate`).
+        self._appends_since = 0
         #: Write-ahead-log sink, wired by :meth:`Database.attach_wal`
         #: when the owning client is opened durable.  Called as
         #: ``sink(op, payload)`` after every successful in-memory
@@ -165,9 +176,16 @@ class Collection:
         """Monotonic write-epoch; bumped once per mutating operation."""
         return self._epoch
 
-    def _bump_epoch(self) -> None:
-        """Invalidate cached query results (one bump = one write op)."""
+    def _bump_epoch(self, *, appended: bool = False) -> None:
+        """Invalidate cached query results (one bump = one write op).
+
+        ``appended`` marks a write that only inserted documents, which
+        kept ``$group`` columns may fold in; any other write makes them
+        rebuild.
+        """
         self._epoch += 1
+        if not appended:
+            self._appends_since = self._epoch
 
     def _emit_wal(self, op: str, payload: Dict[str, Any]) -> None:
         """Append the committed operation to the WAL (durable mode only)."""
@@ -178,7 +196,7 @@ class Collection:
 
     def insert_one(self, doc: Dict[str, Any]) -> InsertOneResult:
         stored = self._insert(doc)
-        self._bump_epoch()
+        self._bump_epoch(appended=True)
         return InsertOneResult(inserted_id=stored["_id"])
 
     def insert_many(self, docs: Iterable[Dict[str, Any]]) -> InsertManyResult:
@@ -202,7 +220,7 @@ class Collection:
         for d in prepared:
             self._commit_insert(d)
         if prepared:
-            self._bump_epoch()
+            self._bump_epoch(appended=True)
             # One batch = one WAL record = one atomic unit: recovery
             # either replays the whole flush or rolls it back
             # (§4.2.2's all-or-nothing destination batch).
@@ -231,7 +249,7 @@ class Collection:
         for d in prepared:
             self._commit_insert(d)
         if prepared:
-            self._bump_epoch()
+            self._bump_epoch(appended=True)
         return len(prepared)
 
     def _insert(self, doc: Dict[str, Any]) -> Dict[str, Any]:
@@ -430,7 +448,7 @@ class Collection:
                 if not k.startswith("$") and not isinstance(v, dict)
             }
             stored = self._insert({**seed, **new_doc})
-            self._bump_epoch()
+            self._bump_epoch(appended=True)
             return UpdateResult(0, 0, upserted_id=stored["_id"])
         return UpdateResult(0, 0)
 
@@ -559,23 +577,58 @@ class Collection:
         ``server_id`` over ``paths_stats``) off the full-scan path.
         Results are cached like ``find`` (a pipeline holding a value
         :func:`~repro.docdb.cache.freeze` cannot freeze is exempt).
+
+        A ``$group`` that follows the leading ``$match`` (or leads the
+        pipeline) reads the matched documents in storage order,
+        whichever plan fetched them, and its cache entry keeps the
+        group's columns (:class:`~repro.docdb.aggregate.GroupColumns`)
+        with the number of documents stored when they were built.  If
+        every write since was an insert, the documents inserted since
+        are the tail of storage order, and the answer folds those that
+        pass the ``$match`` into the kept columns: no planner call, no
+        index, no sort.  Any other write (replace, delete, replay,
+        ``create_index``/``drop_index``) and a cold cache rebuild the
+        columns.  Like a rebuild, a fold counts as a cache miss.
         """
-        from repro.docdb.aggregate import run_pipeline, split_leading_match
+        from repro.docdb.aggregate import GroupColumns, run_pipeline, split_leading_match
 
         cache_key = freeze(("aggregate", pipeline))
         epoch = self._epoch
-        if cache_key is not None:
-            cached = self.cache.get(cache_key, epoch)
-            if cached is not None:
-                return json_deepcopy(cached)
+        entry = None if cache_key is None else self.cache.entry(cache_key, epoch)
+        if entry is not None and entry[0] == epoch:
+            return json_deepcopy(entry[1][0])
         match, rest = split_leading_match(pipeline)
+        group = _leading_group(rest)
         # The stages build new lists and group documents but never
         # edit their inputs, so they run over the stored documents;
         # the result may share their values until the copy below.
-        out = run_pipeline(self._find_stored(match), rest)
+        if group is None:
+            out, kept = run_pipeline(self._find_stored(match), rest), None
+        else:
+            if entry is not None and entry[0] >= self._appends_since:
+                columns, n_docs = entry[1][1]
+                tail = list(
+                    islice(reversed(self._docs.values()), len(self._docs) - n_docs)
+                )
+                self.stats["docs_examined"] += len(tail)
+                columns.fold(d for d in reversed(tail) if matches(d, match))
+            else:
+                columns = GroupColumns(group)
+                columns.fold(self._stored_in_storage_order(match))
+            kept = (columns, len(self._docs))
+            out = run_pipeline(columns.finish(), rest[1:])
         if cache_key is not None:
-            self.cache.put(cache_key, epoch, out)
+            self.cache.put(cache_key, epoch, (out, kept))
         return json_deepcopy(out)
+
+    def _stored_in_storage_order(self, flt: Dict[str, Any]) -> List[Dict[str, Any]]:
+        """The stored documents matching ``flt``, in ``_docs`` order
+        whichever plan fetched them."""
+        matched = self._execute_filter(flt)
+        if len(matched) == len(self._docs):
+            return list(self._docs.values())
+        wanted = {id(d) for d in matched}
+        return [d for d in self._docs.values() if id(d) in wanted]
 
     # -- misc -------------------------------------------------------------------------------------------
 
@@ -591,6 +644,13 @@ class Collection:
 
 
 # -- helpers --------------------------------------------------------------------
+
+
+def _leading_group(stages: List[Dict[str, Any]]) -> Optional[Any]:
+    """The spec of a ``$group`` stage at the head of ``stages``, or None."""
+    if stages and isinstance(stages[0], dict) and len(stages[0]) == 1:
+        return stages[0].get("$group")
+    return None
 
 
 def _sorted_docs(docs: List[Dict[str, Any]], sort: SortSpec) -> List[Dict[str, Any]]:

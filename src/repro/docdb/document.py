@@ -60,14 +60,23 @@ def json_deepcopy(value: Any) -> Any:
     limit), so the generic deepcopy machinery — memo dict, reductor
     dispatch — is pure overhead on the storage hot path.  Semantics
     match ``copy.deepcopy`` for that value domain: containers are
-    rebuilt, immutable scalars returned as-is.
+    rebuilt, immutable scalars returned as-is.  As in
+    :func:`_checked_copy`, a container takes its leaves of an exact
+    scalar type inline, by ``type()`` alone and without a call; the
+    ``isinstance`` checks copy container subclasses as plain
+    containers.
     """
     if isinstance(value, dict):
-        return {k: json_deepcopy(v) for k, v in value.items()}
+        return {
+            k: v if type(v) in _SCALAR_TYPES else json_deepcopy(v)
+            for k, v in value.items()
+        }
     if isinstance(value, list):
-        return [json_deepcopy(v) for v in value]
+        return [v if type(v) in _SCALAR_TYPES else json_deepcopy(v) for v in value]
     if isinstance(value, tuple):
-        return tuple(json_deepcopy(v) for v in value)
+        return tuple(
+            v if type(v) in _SCALAR_TYPES else json_deepcopy(v) for v in value
+        )
     return value
 
 

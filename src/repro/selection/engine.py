@@ -22,6 +22,7 @@ from repro.selection.policies import (
 )
 from repro.selection.request import Metric, UserRequest
 from repro.suite.config import PATHS_COLLECTION, STATS_COLLECTION
+from repro.topology.entities import AutonomousSystem
 from repro.topology.graph import Topology
 from repro.topology.isd_as import ISDAS
 
@@ -122,13 +123,19 @@ class PathSelector:
 
     # -- filtering ------------------------------------------------------------------
 
-    def _violations(self, agg: PathAggregate, request: UserRequest) -> List[str]:
-        """Why this path is inadmissible (empty = admissible)."""
+    def _violations(
+        self,
+        agg: PathAggregate,
+        request: UserRequest,
+        ases: Dict[str, AutonomousSystem],
+    ) -> List[str]:
+        """Why this path is inadmissible (empty = admissible); ``ases``
+        maps each AS string of the path to its AS."""
         reasons: List[str] = []
         if agg.path_id in request.exclude_paths:
             reasons.append("path explicitly excluded (failover/revocation)")
         for ia_str in agg.ases:
-            asys = self.topology.as_of(ia_str)
+            asys = ases[ia_str]
             if asys.country.upper() in request.exclude_countries:
                 reasons.append(f"traverses country {asys.country} ({ia_str})")
             if asys.operator in request.exclude_operators:
@@ -178,10 +185,15 @@ class PathSelector:
                 f"no measured paths for destination {request.server_id} "
                 "(run the test-suite first)"
             )
+        # Each distinct AS is resolved once per select, in first-use order.
+        ases = {
+            ia_str: self.topology.as_of(ia_str)
+            for ia_str in dict.fromkeys(ia for agg in candidates for ia in agg.ases)
+        }
         admissible: List[PathAggregate] = []
         excluded: Dict[str, List[str]] = {}
         for agg in candidates:
-            reasons = self._violations(agg, request)
+            reasons = self._violations(agg, request, ases)
             if reasons:
                 excluded[agg.path_id] = reasons
             else:

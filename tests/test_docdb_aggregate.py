@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.docdb.aggregate import _group_stage, evaluate, run_pipeline
+from repro.docdb.aggregate import _group_stage, evaluate, run_pipeline, split_leading_match
 from repro.docdb.collection import Collection
+from repro.docdb.query import matches
 from repro.errors import QueryError
 
 DOCS = [
@@ -321,3 +322,114 @@ class TestStdDevPop:
             [{"$group": {"_id": "$server_id", "s": {"$stdDevPop": "$lat"}}}, {"$sort": {"_id": 1}}]
         )
         assert out == [{"_id": 1, "s": 5.0}, {"_id": 2, "s": 0.0}]
+
+
+# -- the incremental $group in Collection.aggregate -----------------------------
+
+_FOLDED_GROUP = {
+    "_id": "$path_id",
+    "n": {"$sum": 1},
+    "sum": {"$sum": "$v"},
+    "avg": {"$avg": "$v"},
+    "min": {"$min": "$v"},
+    "max": {"$max": "$v"},
+    "sd": {"$stdDevPop": "$v"},
+    "push": {"$push": "$v"},
+    "set": {"$addToSet": "$v"},
+    "first": {"$first": "$v"},
+    "last": {"$last": "$v"},
+}
+_FOLDED_PIPELINES = [
+    [{"$match": {"server_id": 1}}, {"$group": _FOLDED_GROUP}],
+    [{"$match": {"server_id": 2, "timestamp_ms": {"$gte": 20}}}, {"$group": _FOLDED_GROUP}],
+    [{"$group": _FOLDED_GROUP}],
+    [{"$match": {"server_id": 1}}, {"$group": _FOLDED_GROUP}, {"$sort": {"n": -1}}],
+]
+_STATS_INDEX = [("server_id", 1), ("timestamp_ms", 1)]
+_folded_values = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=2),
+    st.integers(-1000, 1000),
+    st.floats(-1e6, 1e6),
+    st.sampled_from([0.1, 0.2, 0.3, 1e16, 1.0, float("nan")]),
+)
+_stats_docs = st.fixed_dictionaries(
+    {"server_id": st.integers(1, 2), "timestamp_ms": st.integers(0, 40)},
+    optional={"path_id": st.sampled_from(["p0", "p1", None, 3]), "v": _folded_values},
+)
+_collection_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert_one"), _stats_docs),
+        st.tuples(st.just("insert_many"), st.lists(_stats_docs, max_size=4)),
+        st.tuples(st.just("replace_one"), st.integers(0, 99), _stats_docs),
+        st.tuples(st.just("delete_many"), st.integers(0, 40)),
+        st.tuples(st.just("create_index"), st.sampled_from([_STATS_INDEX, "path_id"])),
+        st.tuples(st.just("drop_index"), st.sampled_from([_STATS_INDEX, "path_id"])),
+        st.tuples(st.just("aggregate"), st.integers(0, len(_FOLDED_PIPELINES) - 1)),
+    ),
+    max_size=40,
+)
+
+
+def _fresh_answer(coll, pipeline):
+    """The pipeline run from scratch over the matched documents in
+    storage order."""
+    match, rest = split_leading_match(pipeline)
+    return run_pipeline([d for d in coll.all_documents() if matches(d, match)], rest)
+
+
+class TestIncrementalGroup:
+    @given(_collection_ops)
+    @settings(max_examples=300, deadline=None)
+    def test_equals_a_fresh_pipeline_over_storage_order(self, ops):
+        coll = Collection("stats")
+        next_id = 0
+        for op, *args in ops:
+            if op == "insert_one":
+                coll.insert_one(dict(args[0], _id=next_id))
+                next_id += 1
+            elif op == "insert_many":
+                coll.insert_many(
+                    [dict(d, _id=next_id + i) for i, d in enumerate(args[0])]
+                )
+                next_id += len(args[0])
+            elif op == "replace_one":
+                coll.replace_one({"_id": args[0] % max(next_id, 1)}, args[1])
+            elif op == "delete_many":
+                coll.delete_many({"timestamp_ms": {"$lt": args[0] // 4}})
+            elif op == "create_index":
+                coll.create_index(args[0])
+            elif op == "drop_index":
+                coll.drop_index(args[0])
+            else:
+                pipeline = _FOLDED_PIPELINES[args[0]]
+                assert repr(coll.aggregate(pipeline)) == repr(_fresh_answer(coll, pipeline))
+
+    @given(st.lists(_stats_docs, min_size=2, max_size=12), st.sampled_from(_FOLDED_PIPELINES))
+    @settings(max_examples=200, deadline=None)
+    def test_an_index_never_changes_the_result(self, docs, pipeline):
+        coll = Collection("stats")
+        coll.insert_many([dict(d, _id=i) for i, d in enumerate(docs)])
+        without = repr(coll.aggregate(pipeline))
+        coll.create_index(_STATS_INDEX)
+        assert repr(coll.aggregate(pipeline)) == without
+        coll.drop_index(_STATS_INDEX)
+        assert repr(coll.aggregate(pipeline)) == without
+
+    def test_a_fold_examines_only_the_inserted_documents(self):
+        coll = Collection("stats")
+        coll.create_index(_STATS_INDEX)
+        coll.insert_many([{"_id": i, "server_id": i % 2, "timestamp_ms": -i} for i in range(40)])
+        pipeline = [{"$match": {"server_id": 1}}, {"$group": {"_id": None, "n": {"$sum": 1}}}]
+        assert coll.aggregate(pipeline) == [{"_id": None, "n": 20}]
+        coll.insert_many([{"_id": 40 + i, "server_id": 1, "timestamp_ms": i} for i in range(3)])
+        examined, index_hits = coll.stats["docs_examined"], coll.stats["index_hits"]
+        misses = coll.cache.misses
+        assert coll.aggregate(pipeline) == [{"_id": None, "n": 23}]
+        assert coll.stats["docs_examined"] == examined + 3
+        assert coll.stats["index_hits"] == index_hits  # no planner call
+        assert coll.cache.misses == misses + 1  # a fold is a miss
+        coll.replace_one({"_id": 41}, {"server_id": 0, "timestamp_ms": 1})
+        assert coll.aggregate(pipeline) == [{"_id": None, "n": 22}]
+        assert coll.stats["index_hits"] == index_hits + 2  # replace + rebuild

@@ -1,13 +1,18 @@
 """Tests for document primitives (repro.docdb.document)."""
 
+import copy
+from collections import OrderedDict, namedtuple
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.docdb.document import (
+    _MAX_DEPTH,
     _walk,
     get_path,
     iter_path_values,
+    json_deepcopy,
     new_object_id,
     normalize_document,
 )
@@ -120,3 +125,60 @@ class TestFastPathAgreesWithWalk:
     def test_empty_path_returns_the_value_itself(self, doc):
         assert get_path(doc, "")[1] is doc
         assert [v is doc for v in iter_path_values(doc, "")] == [True]
+
+
+_json_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=2)
+)
+_json_values = st.recursive(
+    _json_leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(_keys, inner, max_size=3),
+    ),
+    max_leaves=10,
+)
+_wrappers = st.lists(st.sampled_from([dict, list, tuple]), max_size=_MAX_DEPTH)
+
+
+def _wrap(value, wrappers):
+    for wrapper in reversed(wrappers):
+        value = {"k": value} if wrapper is dict else wrapper([value, 1.5])
+    return value
+
+
+def _shape(value):
+    """Types and reprs all the way down."""
+    if isinstance(value, dict):
+        return ("dict", [(k, _shape(v)) for k, v in value.items()])
+    if isinstance(value, (list, tuple)):
+        return (type(value).__name__, [_shape(v) for v in value])
+    return (type(value).__name__, repr(value))
+
+
+def _mutable_ids(value):
+    if isinstance(value, dict):
+        return {id(value)}.union(*(_mutable_ids(v) for v in value.values()))
+    if isinstance(value, (list, tuple)):
+        own = {id(value)} if isinstance(value, list) else set()
+        return own.union(*(_mutable_ids(v) for v in value))
+    return set()
+
+
+class TestJsonDeepcopy:
+    @given(_json_values, _wrappers)
+    @settings(max_examples=300)
+    def test_agrees_with_copy_deepcopy(self, value, wrappers):
+        value = _wrap(value, wrappers)
+        got = json_deepcopy(value)
+        assert _shape(got) == _shape(copy.deepcopy(value))
+        assert not _mutable_ids(got) & _mutable_ids(value)
+
+    def test_container_subclasses_copy_as_plain_containers(self):
+        class Items(list):
+            pass
+
+        pair = namedtuple("pair", "x y")
+        got = json_deepcopy(OrderedDict(a=Items([1]), b=[pair(OrderedDict(c=2), 3)]))
+        assert _shape(got) == _shape({"a": [1], "b": [({"c": 2}, 3)]})

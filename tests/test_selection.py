@@ -4,8 +4,11 @@ import math
 
 import pytest
 
+from repro.docdb.client import DocDBClient
 from repro.docdb.collection import Collection
-from repro.errors import NoPathError, ValidationError
+from repro.errors import NoPathError, UnknownASError, ValidationError
+from repro.experiments.fig5 import IRELAND_SERVER_ID
+from repro.scion.snet import ScionHost
 from repro.selection.engine import PathSelector
 from repro.selection.policies import (
     BandwidthPolicy,
@@ -17,7 +20,10 @@ from repro.selection.policies import (
     policy_for,
 )
 from repro.selection.request import Metric, UserRequest
-from repro.suite.config import PATHS_COLLECTION
+from repro.suite.cli import seed_servers
+from repro.suite.collect import PathsCollector
+from repro.suite.config import PATHS_COLLECTION, STATS_COLLECTION, SuiteConfig
+from repro.suite.runner import TestRunner
 
 
 def _agg(path_id="1_0", **kw):
@@ -246,3 +252,69 @@ class TestSelectorOnCampaign:
     def test_no_admissible_render(self, selector):
         result = selector.select(UserRequest.make(1, exclude_isds=[17]))
         assert "NO ADMISSIBLE PATH" in result.format_text()
+
+
+def _one_path_db(ases):
+    db = DocDBClient()["upin"]
+    db[PATHS_COLLECTION].insert_one(
+        {"_id": "1_0", "server_id": 1, "path_index": 0, "hop_count": 3,
+         "isds": [16, 17], "ases": ases}
+    )
+    db[STATS_COLLECTION].insert_one(
+        {"_id": "1_0_1", "server_id": 1, "path_id": "1_0", "timestamp_ms": 1,
+         "avg_latency_ms": 80.0, "loss_pct": 0.0, "bw_down_mtu_mbps": 10.0,
+         "bw_up_mtu_mbps": 10.0}
+    )
+    return db
+
+
+class TestViolations:
+    ASES = ["17-ffaa:1:e01", "16-ffaa:0:1004", "16-ffaa:0:1002", "16-ffaa:0:1004"]
+
+    def test_reasons_in_path_order(self, world_host):
+        selector = PathSelector(_one_path_db(self.ASES), world_host.topology)
+        request = UserRequest.make(
+            1, exclude_countries=["US", "NL"], exclude_operators=["Amazon"],
+            exclude_ases=["16-ffaa:0:1004"], exclude_isds=[16], max_latency_ms=50.0,
+        )
+        assert selector.select(request).excluded == {"1_0": [
+            "traverses country NL (17-ffaa:1:e01)",
+            "traverses country US (16-ffaa:0:1004)",
+            "traverses operator Amazon (16-ffaa:0:1004)",
+            "traverses excluded AS 16-ffaa:0:1004",
+            "traverses operator Amazon (16-ffaa:0:1002)",
+            "traverses country US (16-ffaa:0:1004)",
+            "traverses operator Amazon (16-ffaa:0:1004)",
+            "traverses excluded AS 16-ffaa:0:1004",
+            "traverses excluded ISD 16",
+            "latency 80.0 ms exceeds 50.0 ms",
+        ]}
+
+    def test_unknown_as_raises(self, world_host):
+        selector = PathSelector(_one_path_db(self.ASES + ["19-ffaa:9:999"]), world_host.topology)
+        with pytest.raises(UnknownASError):
+            selector.select(UserRequest.make(1))
+
+
+class TestSelectionWorkAfterABatch:
+    """The first ``aggregates()`` after a batch examines that batch's
+    documents, not the destination's whole history."""
+
+    @pytest.mark.parametrize("iterations", [10, 160])
+    def test_examines_one_batch(self, iterations):
+        db = DocDBClient()["upin"]
+        seed_servers(db)
+        host = ScionHost.scionlab(seed=20231112)
+        config = SuiteConfig(destination_ids=[IRELAND_SERVER_ID])
+        PathsCollector(host, db, config).collect()
+        runner = TestRunner(host, db, config)
+        selector = PathSelector(db, host.topology)
+        stats = db[STATS_COLLECTION]
+        runner.run(iterations=iterations)
+        before = selector.aggregates(IRELAND_SERVER_ID)
+        runner.run(iterations=1)
+        examined = stats.stats["docs_examined"]
+        after = selector.aggregates(IRELAND_SERVER_ID)
+        assert len(after) == len(before) == 22
+        assert stats.stats["docs_examined"] - examined == 22
+        assert all(a.samples == iterations + 1 for a in after)
